@@ -17,7 +17,6 @@ from .invariants import (
     GeometryType,
     SeifertInvariants,
     euler_number,
-    geometry,
     normalize,
     orbifold_euler_characteristic,
 )
@@ -37,9 +36,6 @@ class Violation(Enum):
     ORDER_GREATER_THAN_TWO = "OrderGreaterThanTwo"
     ODD_COUNT = "OddCount"
     WRONG_B_TERM = "WrongBTerm"
-    # Reserved tag: the product family S1 x S is the one place fixed-point-free
-    # involutions survive; no admissibility condition emits this.
-    FIXED_POINT_FREE_ONLY = "FixedPointFreeOnly"
 
 
 @dataclass(frozen=True)
@@ -67,9 +63,28 @@ def _violations(N: SeifertInvariants) -> tuple[Violation, ...]:
     return tuple(out)
 
 
+def _case_and_geometry(N: SeifertInvariants) -> tuple[str, GeometryType]:
+    # N is normalized and admissible.  The sign of the orbifold Euler
+    # characteristic picks the major case and the geometry; (genus, n) picks
+    # the letter.
+    g = N.base.genus
+    n = len(N.pairs)
+    chi = orbifold_euler_characteristic(N)
+    if chi > 0:
+        return ("1a" if n == 0 else "1b"), GeometryType.S2xR
+    if chi == 0:
+        return ("2a" if g == 0 else "2b"), GeometryType.E3
+    if g >= 2:
+        return "3a", GeometryType.H2xR
+    return ("3b" if g == 1 else "3c"), GeometryType.H2xR
+
+
 def check_admissible(M: SeifertInvariants) -> AdmissibilityReport:
     """Evaluate all admissibility conditions on the normalized descriptor.
 
+    This is the one admissibility predicate: a single pass normalizes once
+    and derives the violations, the case label and the geometry from that
+    one normalized descriptor, with exact integer sums throughout.
     Violations accumulate rather than short-circuit, so the report is
     diagnostic.  Non-orientable bases are rejected: lift those to the
     orientable double cover first (``census.lift_to_double_cover``).
@@ -79,10 +94,12 @@ def check_admissible(M: SeifertInvariants) -> AdmissibilityReport:
             "non-orientable base: lift to the orientable-base double cover first "
             "(see lift_to_double_cover)"
         )
-    violations = _violations(normalize(M))
-    admissible = not violations
-    label = classify_case(M) if admissible else None
-    return AdmissibilityReport(admissible, violations, label, geometry(M))
+    N = normalize(M)
+    violations = _violations(N)
+    if violations:
+        return AdmissibilityReport(False, violations, None, GeometryType.OTHER)
+    label, geom = _case_and_geometry(N)
+    return AdmissibilityReport(True, violations, label, geom)
 
 
 def exclude_fixed_point_free(M: SeifertInvariants) -> bool:
@@ -100,21 +117,13 @@ def classify_case(M: SeifertInvariants) -> str:
     """Case label 1a/1b/2a/2b/3a/3b/3c for an admissible descriptor.
 
     The sign of the orbifold Euler characteristic picks the major case
-    (1: positive, 2: zero, 3: negative); (genus, n) picks the letter.
+    (1: positive, 2: zero, 3: negative); (genus, n) picks the letter.  The
+    label is read off the ``check_admissible`` report.
     """
-    N = normalize(M)
-    if not N.base.orientable or _violations(N):
+    label = check_admissible(M).case_label if M.base.orientable else None
+    if label is None:
         raise ValueError("case labels are defined only for admissible descriptors")
-    g = N.base.genus
-    n = len(N.pairs)
-    chi = orbifold_euler_characteristic(N)
-    if chi > 0:
-        return "1a" if n == 0 else "1b"
-    if chi == 0:
-        return "2a" if g == 0 else "2b"
-    if g >= 2:
-        return "3a"
-    return "3b" if g == 1 else "3c"
+    return label
 
 
 def enumerate_admissible(g_max: int, n_max: int) -> list[SeifertInvariants]:

@@ -84,12 +84,14 @@ def _default_seed() -> int:
 
 
 def _cmd_classify(args) -> CommandResult:
-    M = parse_seifert(args.descriptor)
-    N = normalize(M)
-    e = euler_number(M)
+    N = normalize(parse_seifert(args.descriptor))
+    e = euler_number(N)
     chi = orbifold_euler_characteristic(N)
-    geom = geometry(M)
-    case = check_admissible(M).case_label if M.base.orientable else None
+    if N.base.orientable:
+        report = check_admissible(N)
+        geom, case = report.geometry, report.case_label
+    else:
+        geom, case = geometry(N), None
     payload = {
         "schema": SCHEMA,
         "input": args.descriptor,
@@ -309,6 +311,8 @@ def _cmd_lift(args) -> CommandResult:
 
 
 def _cmd_psi_check(args) -> CommandResult:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be non-negative, got {args.trials}")
     M = parse_seifert(args.descriptor)
     seed = args.seed if args.seed is not None else _default_seed()
     passed = fiber_flip_conjugacy_check(M, args.trials, seed)

@@ -210,8 +210,11 @@ def normalize(M: SeifertInvariants) -> SeifertInvariants:
     """Fold every pair into the range 0 < p < q and absorb q = 1 pairs into b.
 
     Each move (q,p) -> (q, p mod q) adds (p - p mod q)/q to b, so the Euler
-    number is preserved exactly.
+    number is preserved exactly.  A descriptor that is already normal is
+    returned as it is.
     """
+    if all(0 < p < q for q, p in M.pairs):
+        return M
     b = M.b
     pairs: list[tuple[int, int]] = []
     for q, p in M.pairs:
@@ -225,19 +228,24 @@ def normalize(M: SeifertInvariants) -> SeifertInvariants:
 
 
 def euler_number(M: SeifertInvariants) -> Fraction:
-    """e = -(b + sum of p_i/q_i), exactly."""
-    total = Fraction(M.b)
-    for q, p in M.pairs:
-        total += Fraction(p, q)
-    return -total
+    """e = -(b + sum of p_i/q_i), exactly.
+
+    The sum is taken in integers over the common denominator L = lcm(q_i),
+    e = -(b*L + sum of p_i*(L/q_i)) / L, and reduced once at the end.
+    """
+    L = math.lcm(*(q for q, _ in M.pairs))
+    return Fraction(-(M.b * L + sum(p * (L // q) for q, p in M.pairs)), L)
 
 
 def orbifold_euler_characteristic(M: SeifertInvariants) -> Fraction:
-    """chi of the underlying base surface minus sum of (1 - 1/q_i)."""
-    chi = Fraction(M.base.euler_characteristic())
-    for q, _ in M.pairs:
-        chi -= 1 - Fraction(1, q)
-    return chi
+    """chi of the underlying base surface minus sum of (1 - 1/q_i).
+
+    Summed in integers over L = lcm(q_i) as (chi*L - sum of (L - L/q_i)) / L
+    and reduced once at the end.
+    """
+    L = math.lcm(*(q for q, _ in M.pairs))
+    deficit = sum(L - L // q for q, _ in M.pairs)
+    return Fraction(M.base.euler_characteristic() * L - deficit, L)
 
 
 def geometry(M: SeifertInvariants) -> GeometryType:
@@ -245,22 +253,12 @@ def geometry(M: SeifertInvariants) -> GeometryType:
 
     Only defined for descriptors that satisfy the involution-admissibility
     conditions (orientable base, e = 0, all fiber orders 2, evenly many,
-    b = -n/2); anything else maps to ``OTHER``.
+    b = -n/2); anything else maps to ``OTHER``.  The conditions are decided
+    once, by ``admissibility.check_admissible``, in its single pass over the
+    normalized descriptor; this reads the geometry off that report.
     """
-    N = normalize(M)
-    n = len(N.pairs)
-    admissible = (
-        N.base.orientable
-        and euler_number(N) == 0
-        and all(q == 2 for q, _ in N.pairs)
-        and n % 2 == 0
-        and N.b == -(n // 2)
-    )
-    if not admissible:
+    if not M.base.orientable:
         return GeometryType.OTHER
-    chi = orbifold_euler_characteristic(N)
-    if chi > 0:
-        return GeometryType.S2xR
-    if chi == 0:
-        return GeometryType.E3
-    return GeometryType.H2xR
+    from .admissibility import check_admissible  # admissibility imports this module
+
+    return check_admissible(M).geometry

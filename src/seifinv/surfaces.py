@@ -121,16 +121,14 @@ def count_classes(g: int) -> ClassCount:
 def fixed_point_data(c: SurfaceInvolutionClass) -> FixedPointData:
     """Fixed-point data per class.
 
-    spit(g,r) is recorded with 4(g-2r) isolated points; at r = g/2 this
-    evaluates to zero, which disagrees with the class being retained by
-    ``usable_for_census`` - the value is kept behind this single function
-    so a correction is one line.
+    spit(g,r) has quotient genus r, so Riemann-Hurwitz for a branched double
+    cover, 2 - 2g = 2(2 - 2r) - k, gives k = 2g + 2 - 4r isolated points.
     """
     k = c.kind
     if k is InvolutionKind.ID:
         return FixedPointData(entire_surface=True)
     if k is InvolutionKind.SPIT:
-        return FixedPointData(isolated_points=4 * (c.g - 2 * c.r))
+        return FixedPointData(isolated_points=2 * c.g + 2 - 4 * c.r)
     if k is InvolutionKind.ROT:
         return FixedPointData()
     if k is InvolutionKind.REFL:

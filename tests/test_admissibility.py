@@ -69,7 +69,6 @@ class TestCheckAdmissible:
             "OrderGreaterThanTwo",
             "OddCount",
             "WrongBTerm",
-            "FixedPointFreeOnly",
         }
 
 

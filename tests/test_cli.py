@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from seifinv.cli import run
 
@@ -202,6 +206,37 @@ class TestPsiCheck:
             ["psi-check", "(0,o1|(2,1),(2,1),(1,-1))", "--trials", "3", "--seed", "9", "--json"]
         )
         assert payload["seed"] == 9
+
+    def test_negative_trials_refused(self):
+        result = run(["psi-check", "(0,o1|(2,1),(2,1),(1,-1))", "--trials", "-5"])
+        assert result.exit_code == 1
+        assert result.status == "error"
+        assert "--trials" in result.message
+
+    def test_zero_trials_pass_vacuously(self):
+        payload = payload_of(["psi-check", "(0,o1|(2,1),(2,1),(1,-1))", "--trials", "0", "--json"])
+        assert payload["passed"] is True
+
+
+class TestModuleEntryPoint:
+    def _run_module(self, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run(
+            [sys.executable, "-m", "seifinv", *argv], capture_output=True, text=True, env=env
+        )
+
+    def test_runs_the_cli(self):
+        proc = self._run_module("classify", "(0,o1|(2,1),(2,1),(1,-1))")
+        assert proc.returncode == 0
+        assert proc.stdout == run(["classify", "(0,o1|(2,1),(2,1),(1,-1))"]).message + "\n"
+
+    def test_errors_exit_one(self):
+        proc = self._run_module("classify", "(0,o1|(2,2))")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: non-coprime pair")
 
 
 class TestDeterminism:

@@ -1,0 +1,167 @@
+"""Golden outputs of ``classify``, ``admissible``, ``enumerate`` and ``lift``.
+
+Every case is replayed through ``cli.run`` and must reproduce the recorded
+status, exit code and message byte for byte, in text and ``--json`` modes,
+including the parse and domain errors.  The expected data in
+``data/golden_cli.json`` is regenerated with::
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
+
+_DESCRIPTORS = [
+    # one per case label
+    "(0,o1|)",
+    "(0,o1|(2,1),(2,1),(1,-1))",
+    "(0,o1|(2,1),(2,1),(2,1),(2,1),(1,-2))",
+    "(1,o1|)",
+    "(2,o1|)",
+    "(3,o1|(2,1),(2,1),(1,-1))",
+    "(1,o1|(2,1),(2,1),(1,-1))",
+    "(0,o1|(2,1),(2,1),(2,1),(2,1),(2,1),(2,1),(1,-3))",
+    # unnormalized p and stray q = 1 pairs
+    "(0,o1|(2,3),(2,-1),(1,-1))",
+    "(1,o1|(1,2),(2,1),(1,-3),(2,1))",
+    "(0,o1|(2,5),(1,4),(2,-7),(1,-3))",
+    "(4,o1|(1,0))",
+    "(0,o1|(1,3))",
+    " ( 0 , o1 | ( 2 , 1 ) , ( 2 , 1 ) , ( 1 , -1 ) ) ",
+    # orders 3/5/7 and every violation tag
+    "(0,o1|(3,1),(5,2),(7,-3))",
+    "(2,o1|(3,1),(3,2),(1,-1))",
+    "(0,o1|(2,1),(3,1),(1,-1))",
+    "(0,o1|(2,1))",
+    "(0,o1|(2,1),(2,1))",
+    "(0,o1|(2,1),(2,1),(2,1),(1,-2))",
+    # non-orientable bases
+    "(1,n1|(2,1),(2,1),(1,-1))",
+    "(2,n1|)",
+    "(3,n1|(3,1),(5,-2))",
+    # parse errors
+    "(0,o1|(2,2))",
+    "(0,x1|)",
+    "(0,n1|)",
+    "(-1,o1|)",
+    "(0,o1|(0,1))",
+    "(0,o1|(2,1)",
+    "(0,o1|) x",
+    "",
+    "(0,o1|(2,1),)",
+    "(a,o1|)",
+]
+
+_LIFT_DESCRIPTORS = [
+    "(1,n1|)",
+    "(1,n1|(2,1),(2,1),(1,-1))",
+    "(2,n1|(2,1),(1,-1))",
+    "(3,n1|(3,1),(5,-2))",
+    "(2,n1|(2,3),(1,1),(2,-1))",
+    "(1,n1|(2,1),(1,0))",
+    "(0,o1|)",
+    "(1,n1|(2,4))",
+]
+
+_WINDOWS = [(0, 0), (0, 1), (2, 5), (3, 8), (8, 30)]
+
+
+def _random_descriptor(rng: random.Random, n: int) -> str:
+    """``n`` exceptional fibers with stray q = 1 pairs and unnormalized p;
+    about half are made admissible by choosing the obstruction term."""
+    base = rng.choice(("o1", "o1", "o1", "n1"))
+    genus = rng.randint(1 if base == "n1" else 0, 6)
+    admissible = rng.random() < 0.5
+    orders = (2,) if admissible else (2, 2, 2, 3, 5, 7)
+    pairs, b = [], 0
+    for _ in range(n):
+        q = rng.choice(orders)
+        while True:
+            p = rng.randint(-3 * q, 3 * q)
+            if p % q and math.gcd(p, q) == 1:
+                break
+        pairs.append((q, p))
+        b -= p // q  # running normalized obstruction offset
+        if rng.random() < 0.1:
+            x = rng.randint(-4, 4)
+            pairs.append((1, x))
+            b -= x
+    twos = sum(1 for q, _ in pairs if q == 2)
+    if admissible and twos % 2:
+        pairs.append((2, 1))
+        twos += 1
+    last = b - twos // 2 if admissible else rng.randint(-n, n)
+    items = [f"({q},{p})" for q, p in pairs] + [f"(1,{last})"]
+    return f"({genus},{base}|{','.join(items)})"
+
+
+def _cases() -> list[list[str]]:
+    rng = random.Random(20261018)
+    descriptors = _DESCRIPTORS + [
+        _random_descriptor(rng, n) for n in (0, 1, 2, 3, 4, 5, 6, 8, 11, 16, 50, 120, 400)
+    ]
+    cases: list[list[str]] = []
+    for cmd in ("classify", "admissible"):
+        for d in descriptors:
+            cases += [[cmd, d], [cmd, d, "--json"]]
+        cases += [[cmd], [cmd, "--json"]]
+    for d in _LIFT_DESCRIPTORS:
+        cases += [["lift", d], ["lift", d, "--json"]]
+    for g, n in _WINDOWS:
+        argv = ["enumerate", "--gmax", str(g), "--nmax", str(n)]
+        cases += [argv, argv + ["--json"]]
+    cases += [
+        ["enumerate", "--gmax", "-1", "--nmax", "2"],
+        ["enumerate", "--gmax", "1", "--nmax", "-2", "--json"],
+        ["enumerate", "--gmax", "x", "--nmax", "2"],
+        ["enumerate", "--gmax", "1"],
+    ]
+    return cases
+
+
+def _record(argv: list[str]) -> dict:
+    from seifinv.cli import run
+
+    result = run(argv)
+    return {
+        "argv": argv,
+        "status": result.status,
+        "exit_code": result.exit_code,
+        "message": result.message,
+    }
+
+
+def _load() -> list[dict]:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case():
+    assert [rec["argv"] for rec in _load()] == _cases()
+
+
+def test_outputs_match_golden():
+    mismatched = [rec["argv"] for rec in _load() if _record(rec["argv"]) != rec]
+    assert mismatched == []
+
+
+def test_golden_exercises_every_outcome():
+    records = _load()
+    assert {rec["exit_code"] for rec in records} == {0, 1, 2}
+    tags = " ".join(rec["message"] for rec in records)
+    for tag in ("NonzeroEuler", "OrderGreaterThanTwo", "OddCount", "WrongBTerm"):
+        assert tag in tags
+    for case in ("1a", "1b", "2a", "2b", "3a", "3b", "3c"):
+        assert f"case={case}" in tags
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    GOLDEN.write_text(json.dumps([_record(a) for a in _cases()], indent=1) + "\n")

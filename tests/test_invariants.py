@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -141,6 +142,43 @@ class TestOrbifoldEulerCharacteristic:
     def test_mixed_orders(self):
         got = orbifold_euler_characteristic(M(0, [(2, 1), (3, 1), (7, 1)]))
         assert got == 2 - Fraction(1, 2) - Fraction(2, 3) - Fraction(6, 7)
+
+
+def _fraction_sums(desc):
+    """Per-pair Fraction sums, the textbook form of e and chi_orb."""
+    e = Fraction(desc.b)
+    chi = Fraction(desc.base.euler_characteristic())
+    for q, p in desc.pairs:
+        e += Fraction(p, q)
+        chi -= 1 - Fraction(1, q)
+    return -e, chi
+
+
+class TestIntegerSums:
+    def test_match_per_pair_fraction_sums(self):
+        rng = random.Random(4013)
+        orders = (1, 2, 2, 2, 3, 4, 5, 6, 7, 9, 11, 13, 16, 25, 31, 97)
+        for _ in range(300):
+            n = rng.choice((0, 1, 2, 3, 5, 8, 20, 50, 150, 400))
+            pairs = []
+            while len(pairs) < n:
+                q = rng.choice(orders)
+                p = rng.randint(-5 * q, 5 * q)
+                if math.gcd(p, q) == 1:
+                    pairs.append((q, p))
+            orientable = rng.random() < 0.75
+            genus = rng.randint(0 if orientable else 1, 9)
+            desc = M(genus, pairs, rng.randint(-n - 5, n + 5), orientable)
+            e, chi = _fraction_sums(desc)
+            assert euler_number(desc) == e
+            assert orbifold_euler_characteristic(desc) == chi
+
+    def test_normal_descriptor_returned_as_is(self):
+        desc = M(2, [(2, 1), (3, 2), (7, 4)], -3)
+        assert normalize(desc) is desc
+        folded = normalize(M(2, [(2, 3), (1, 1), (3, -1)], -3))
+        assert folded == M(2, [(2, 1), (3, 2)], -2)
+        assert normalize(folded) is folded
 
 
 class TestGeometry:

@@ -74,6 +74,31 @@ class TestFixedPointData:
     def test_spit_isolated_points(self):
         assert fixed_point_data(C(SPIT, 1, 0)).isolated_points == 4
 
+    def test_riemann_hurwitz_on_every_preserving_class(self):
+        # A non-identity preserving involution with k isolated fixed points
+        # and quotient genus h satisfies 2 - 2g = 2(2 - 2h) - k.  spit(g,r)
+        # has quotient genus r; rot is the free rotation, with quotient
+        # genus (g + 1)/2.
+        for g in range(51):
+            for c in classes_for_genus(g, "preserving"):
+                data = fixed_point_data(c)
+                if c.kind is ID:
+                    assert data.entire_surface
+                    continue
+                assert data.circles == 0 and not data.entire_surface
+                h = c.r if c.kind is SPIT else (g + 1) // 2
+                assert 2 - 2 * g == 2 * (2 - 2 * h) - data.isolated_points, c
+
+    def test_reversing_classes_obey_harnack_and_parity(self):
+        # At most g + 1 fixed circles (Harnack); a separating reflection
+        # refl(g,r) has g + 1 - 2r of them, so its count has the parity of g + 1.
+        for g in range(51):
+            for c in classes_for_genus(g, "reversing"):
+                data = fixed_point_data(c)
+                assert data.isolated_points == 0 and data.circles <= g + 1, c
+                if c.kind is REFL:
+                    assert data.circles % 2 == (g + 1) % 2, c
+
     def test_refl_circles(self):
         assert fixed_point_data(C(REFL, 2, 0)).circles == 3
 
@@ -105,11 +130,9 @@ class TestUsableForCensus:
         assert usable_for_census(C(SPIT, 2, 1))
 
     def test_exclusion_matches_freeness(self):
-        # The recorded spit fixed-point count vanishes at r = g/2 even though
-        # the class is retained; skip that boundary value here.
         for g in range(10):
             for c in classes_for_genus(g):
-                if c.kind is ID or (c.kind is SPIT and c.g == 2 * c.r):
+                if c.kind is ID:
                     continue
                 assert usable_for_census(c) == (not fixed_point_data(c).free)
 
