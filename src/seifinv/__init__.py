@@ -8,142 +8,16 @@ V(2,2;-1) involution data, the factorization census, and the orientable-
 base double cover.
 """
 
-from .admissibility import (
-    AdmissibilityReport,
-    Violation,
-    check_admissible,
-    classify_case,
-    enumerate_admissible,
-    exclude_fixed_point_free,
-)
-from .census import (
-    CensusReport,
-    CensusScopeError,
-    DoubleCoverReport,
-    FactorizationRecord,
-    FiberFlipBlock,
-    FiberFlipDescriptor,
-    commutation_obstruction,
-    enumerate_factorizations,
-    fiber_flip_conjugacy_check,
-    fiber_flip_descriptor,
-    lift_to_double_cover,
-)
-from .filling import (
-    ConstructionReport,
-    ExtensionConstraint,
-    FillingFrame,
-    FillingSlope,
-    HomologyReport,
-    UnsupportedSlopeError,
-    V221BoundaryData,
-    boundary_homology_identity,
-    check_extends,
-    extension_condition,
-    induced_filling_frame,
-    solve_boundary_involutions,
-    transport_through_gluing,
-    v221_boundary_data,
-    verify_v221_construction,
-)
-from .invariants import (
-    BaseSurface,
-    GeometryType,
-    SeifertInvariants,
-    SeifertParseError,
-    euler_number,
-    geometry,
-    normalize,
-    orbifold_euler_characteristic,
-    parse_seifert,
-    print_seifert,
-)
-from .surfaces import (
-    ClassCount,
-    FixedPointData,
-    InvolutionKind,
-    SurfaceInvolutionClass,
-    classes_for_genus,
-    count_classes,
-    fixed_point_data,
-    induced_torus_action,
-    usable_for_census,
-)
-from .torus_mcg import (
-    IDENTITY,
-    IntMatrix2,
-    InvolutionClassLabel,
-    conjugate,
-    find_conjugator,
-    involution_class,
-    is_involution,
-    mat_det,
-    mat_inv,
-    mat_mul,
-    mat_vec,
-)
+from . import admissibility, census, filling, invariants, surfaces, torus_mcg
+from .admissibility import *  # noqa: F401,F403
+from .census import *  # noqa: F401,F403
+from .filling import *  # noqa: F401,F403
+from .invariants import *  # noqa: F401,F403
+from .surfaces import *  # noqa: F401,F403
+from .torus_mcg import *  # noqa: F401,F403
 
-__all__ = [
-    "AdmissibilityReport",
-    "BaseSurface",
-    "CensusReport",
-    "CensusScopeError",
-    "ClassCount",
-    "ConstructionReport",
-    "DoubleCoverReport",
-    "ExtensionConstraint",
-    "FactorizationRecord",
-    "FiberFlipBlock",
-    "FiberFlipDescriptor",
-    "FillingFrame",
-    "FillingSlope",
-    "FixedPointData",
-    "GeometryType",
-    "HomologyReport",
-    "IDENTITY",
-    "IntMatrix2",
-    "InvolutionClassLabel",
-    "InvolutionKind",
-    "SeifertInvariants",
-    "SeifertParseError",
-    "SurfaceInvolutionClass",
-    "UnsupportedSlopeError",
-    "V221BoundaryData",
-    "Violation",
-    "boundary_homology_identity",
-    "check_admissible",
-    "check_extends",
-    "classes_for_genus",
-    "classify_case",
-    "commutation_obstruction",
-    "conjugate",
-    "count_classes",
-    "enumerate_admissible",
-    "enumerate_factorizations",
-    "euler_number",
-    "exclude_fixed_point_free",
-    "extension_condition",
-    "fiber_flip_conjugacy_check",
-    "fiber_flip_descriptor",
-    "find_conjugator",
-    "fixed_point_data",
-    "geometry",
-    "induced_filling_frame",
-    "induced_torus_action",
-    "involution_class",
-    "is_involution",
-    "lift_to_double_cover",
-    "mat_det",
-    "mat_inv",
-    "mat_mul",
-    "mat_vec",
-    "normalize",
-    "orbifold_euler_characteristic",
-    "parse_seifert",
-    "print_seifert",
-    "solve_boundary_involutions",
-    "transport_through_gluing",
-    "usable_for_census",
-    "v221_boundary_data",
-    "verify_v221_construction",
-]
+__all__ = sorted(
+    name
+    for module in (admissibility, census, filling, invariants, surfaces, torus_mcg)
+    for name in module.__all__
+)

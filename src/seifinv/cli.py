@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 for parse/domain errors, 2 for usage errors.
 All JSON payloads carry a top-level ``"schema": "1"`` field.  Output is
-deterministic for identical arguments (randomized checks take explicit
-seeds; SEIFERT_SEED overrides the default seed of ``psi-check``).
+deterministic for identical arguments.  ``psi-check`` echoes ``--trials``
+and ``--seed`` (SEIFERT_SEED overrides the default seed); its verdict is one
+validation, vacuously true for ``--trials 0``.
 """
 
 from __future__ import annotations
@@ -315,7 +316,7 @@ def _cmd_psi_check(args) -> CommandResult:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")
     M = parse_seifert(args.descriptor)
     seed = args.seed if args.seed is not None else _default_seed()
-    passed = fiber_flip_conjugacy_check(M, args.trials, seed)
+    passed = fiber_flip_conjugacy_check(M, args.trials)
     payload = {
         "schema": SCHEMA,
         "manifold": print_seifert(normalize(M)),
@@ -426,3 +427,7 @@ def main(argv: list[str] | None = None) -> None:
     else:
         print(f"error: {result.message}", file=sys.stderr)
     sys.exit(result.exit_code)
+
+
+if __name__ == "__main__":
+    main()

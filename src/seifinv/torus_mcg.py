@@ -25,7 +25,6 @@ __all__ = [
     "mat_det",
     "mat_inv",
     "mat_mul",
-    "mat_vec",
 ]
 
 
@@ -73,10 +72,6 @@ def mat_inv(A: IntMatrix2) -> IntMatrix2:
     if det == -1:
         return IntMatrix2(-A.d, A.b, A.c, -A.a)
     raise ValueError(f"matrix {A} is not invertible over the integers (det {det})")
-
-
-def mat_vec(A: IntMatrix2, v: tuple[int, int]) -> tuple[int, int]:
-    return (A.a * v[0] + A.b * v[1], A.c * v[0] + A.d * v[1])
 
 
 def conjugate(H: IntMatrix2, A: IntMatrix2) -> IntMatrix2:

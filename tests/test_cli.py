@@ -219,24 +219,27 @@ class TestPsiCheck:
 
 
 class TestModuleEntryPoint:
-    def _run_module(self, *argv):
+    def _run_module(self, module, *argv):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         return subprocess.run(
-            [sys.executable, "-m", "seifinv", *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
         )
 
     def test_runs_the_cli(self):
-        proc = self._run_module("classify", "(0,o1|(2,1),(2,1),(1,-1))")
-        assert proc.returncode == 0
-        assert proc.stdout == run(["classify", "(0,o1|(2,1),(2,1),(1,-1))"]).message + "\n"
+        for module in ("seifinv", "seifinv.cli"):
+            proc = self._run_module(module, "classify", "(0,o1|(2,1),(2,1),(1,-1))")
+            assert proc.returncode == 0, module
+            assert proc.stdout == run(["classify", "(0,o1|(2,1),(2,1),(1,-1))"]).message + "\n"
+            assert proc.stderr == ""
 
     def test_errors_exit_one(self):
-        proc = self._run_module("classify", "(0,o1|(2,2))")
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: non-coprime pair")
+        for module in ("seifinv", "seifinv.cli"):
+            proc = self._run_module(module, "classify", "(0,o1|(2,2))")
+            assert proc.returncode == 1, module
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: non-coprime pair")
 
 
 class TestDeterminism:

@@ -1,4 +1,4 @@
-"""Golden outputs of ``classify``, ``admissible``, ``enumerate`` and ``lift``.
+"""Golden outputs of all eleven CLI commands.
 
 Every case is replayed through ``cli.run`` and must reproduce the recorded
 status, exit code and message byte for byte, in text and ``--json`` modes,
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import sys
 from pathlib import Path
@@ -72,6 +73,153 @@ _LIFT_DESCRIPTORS = [
 
 _WINDOWS = [(0, 0), (0, 1), (2, 5), (3, 8), (8, 30)]
 
+_FLAT = "(0,o1|(2,1),(2,1),(2,1),(2,1),(1,-2))"
+
+_PSI_DESCRIPTORS = [
+    "(0,o1|)",
+    "(0,o1|(2,1),(2,1),(1,-1))",
+    _FLAT,
+    "(0,o1|(2,3),(2,-1),(1,-1))",
+    "(1,o1|(2,1),(2,1),(1,-1))",
+    "(0,o1|" + "(2,1)," * 8 + "(1,-4))",
+    "(2,o1|" + "(2,1)," * 40 + "(1,-20))",
+    # inadmissible, non-orientable and malformed
+    "(0,o1|(3,1),(3,1),(3,1),(1,-1))",
+    "(0,o1|(2,1),(2,1))",
+    "(1,n1|(2,1),(2,1),(1,-1))",
+    "(0,o1|(2,2))",
+]
+
+_CENSUS_DESCRIPTORS = [
+    "(0,o1|(2,1),(2,1),(1,-1))",
+    _FLAT,
+    "(0,o1|(2,3),(2,-1),(1,-1))",
+    "(0,o1|(2,1),(1,2),(2,-1),(2,1),(2,1),(1,-4))",
+    # refused: outside the case analysis, inadmissible, malformed
+    "(0,o1|)",
+    "(1,o1|(2,1),(2,1),(1,-1))",
+    "(0,o1|(2,1),(2,1),(2,1),(2,1),(2,1),(2,1),(1,-3))",
+    "(0,o1|(3,1),(3,1),(3,1),(1,-1))",
+    "(1,n1|(2,1),(2,1),(1,-1))",
+    "(0,o1|(2,1)",
+]
+
+_EXTEND_CASES = [
+    ("1,2", "1,-1;0,-1"),
+    ("1,2", "-1,1;0,1"),
+    ("1,2", "1,0;0,1"),
+    ("-1,1", "-1,-2;0,1"),
+    ("-1,1", "1,2;0,-1"),
+    ("-1,1", "1,-2;0,-1"),
+    ("3,1", "1,-6;0,-1"),
+    ("0,1", "1,0;0,-1"),
+    ("-7,1", "0,1;1,0"),
+    # unsupported or malformed slopes and matrices
+    ("2,3", "1,0;0,1"),
+    ("1,0", "1,0;0,1"),
+    ("0,0", "1,0;0,1"),
+    ("2,4", "1,0;0,1"),
+    ("1", "1,0;0,1"),
+    ("a,1", "1,0;0,1"),
+    ("1,2", "1,0"),
+    ("1,2", "1,x;0,1"),
+]
+
+_MCG_MATRICES = [
+    "1,0;0,1",
+    "-1,0;0,-1",
+    "1,0;0,-1",
+    "-1,0;0,1",
+    "0,1;1,0",
+    "1,2;0,-1",
+    "1,1;0,-1",
+    "3,-4;2,-3",
+    # not involutions, or malformed
+    "1,1;0,1",
+    "2,0;0,1",
+    "1,0;0",
+    "1,0;0,y",
+]
+
+_CONJUGATE_CASES = [
+    ("1,0;0,-1", "1,0;0,-1", None),
+    ("1,0;0,-1", "1,2;0,-1", None),
+    ("1,0;0,-1", "-1,0;0,1", "1"),
+    ("1,0;0,-1", "0,1;1,0", "3"),
+    ("0,1;1,0", "1,1;0,-1", "2"),
+    ("0,1;1,0", "3,-4;2,-3", None),
+    ("2,1;1,1", "1,1;1,2", "4"),
+    ("1,1;0,1", "1,0;1,1", "1"),
+    # refused: bound, determinant, malformed
+    ("1,0;0,-1", "0,1;1,0", "0"),
+    ("2,0;0,1", "1,0;0,1", None),
+    ("1,0;0,-1", "1,0;0", None),
+]
+
+
+def _psi_cases() -> list[list[str]]:
+    cases: list[list[str]] = []
+    for d in _PSI_DESCRIPTORS:
+        for extra in ([], ["--trials", "0"], ["--trials", "1", "--seed", "3"]):
+            argv = ["psi-check", d, *extra]
+            cases += [argv, argv + ["--json"]]
+    for seed in (["--seed", "0"], ["--seed", "7"], ["--seed", "12345"], ["--seed=-4"]):
+        for trials in ("0", "1", "17", "100"):
+            argv = ["psi-check", _FLAT, "--trials", trials, *seed]
+            cases += [argv, argv + ["--json"]]
+    cases += [
+        ["psi-check", _FLAT, "--trials=-5"],
+        ["psi-check", _FLAT, "--trials=-1", "--json"],
+        ["psi-check", "(0,o1|(2,2))", "--trials=-1"],
+        ["psi-check", _FLAT, "--trials", "x"],
+        ["psi-check", _FLAT, "--seed", "1.5"],
+        ["psi-check"],
+    ]
+    return cases
+
+
+def _positional(*matrices: str) -> list[str]:
+    """Matrices as positional arguments; ``--`` lets a leading ``-`` through."""
+    return (["--"] if any(m.startswith("-") for m in matrices) else []) + list(matrices)
+
+
+def _more_commands() -> list[list[str]]:
+    cases = _psi_cases()
+    for d in _CENSUS_DESCRIPTORS:
+        cases += [["census", d], ["census", d, "--json"]]
+    for slope, matrix in _EXTEND_CASES:
+        argv = ["extend", f"--slope={slope}", f"--matrix={matrix}"]
+        cases += [argv, argv + ["--json"]]
+    cases += [
+        ["extend", "--slope", "-1,1", "--matrix", "1,2;0,-1"],
+        ["extend", "--slope", "1,2"],
+        ["extend", "--matrix", "1,0;0,1", "--json"],
+    ]
+    cases += [["verify-v221"], ["verify-v221", "--json"], ["verify-v221", "extra"]]
+    for g in range(5):
+        for filt in (None, "all", "preserving", "reversing"):
+            argv = ["surface-classes", "--genus", str(g)] + (["--filter", filt] if filt else [])
+            cases += [argv, argv + ["--json"]]
+    cases += [
+        ["surface-classes", "--genus=-1"],
+        ["surface-classes", "--genus=-1", "--json"],
+        ["surface-classes", "--genus", "2", "--filter", "odd"],
+        ["surface-classes"],
+    ]
+    for A in _MCG_MATRICES:
+        cases += [["mcg", "class", *_positional(A)], ["mcg", "class", "--json", *_positional(A)]]
+    for A, B, bound in _CONJUGATE_CASES:
+        argv = ["mcg", "conjugate"] + (["--bound", bound] if bound else [])
+        cases += [argv + _positional(A, B), argv + ["--json"] + _positional(A, B)]
+    cases += [
+        ["mcg", "class", "-1,0;0,1"],
+        ["mcg"],
+        ["mcg", "class"],
+        ["mcg", "conjugate", "1,0;0,1"],
+        ["mcg", "rotate", "1,0;0,1"],
+    ]
+    return cases
+
 
 def _random_descriptor(rng: random.Random, n: int) -> str:
     """``n`` exceptional fibers with stray q = 1 pairs and unnormalized p;
@@ -123,7 +271,7 @@ def _cases() -> list[list[str]]:
         ["enumerate", "--gmax", "x", "--nmax", "2"],
         ["enumerate", "--gmax", "1"],
     ]
-    return cases
+    return cases + _more_commands()
 
 
 def _record(argv: list[str]) -> dict:
@@ -146,7 +294,8 @@ def test_golden_covers_every_case():
     assert [rec["argv"] for rec in _load()] == _cases()
 
 
-def test_outputs_match_golden():
+def test_outputs_match_golden(monkeypatch):
+    monkeypatch.delenv("SEIFERT_SEED", raising=False)
     mismatched = [rec["argv"] for rec in _load() if _record(rec["argv"]) != rec]
     assert mismatched == []
 
@@ -164,4 +313,5 @@ def test_golden_exercises_every_outcome():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    os.environ.pop("SEIFERT_SEED", None)
     GOLDEN.write_text(json.dumps([_record(a) for a in _cases()], indent=1) + "\n")

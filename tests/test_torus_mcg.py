@@ -11,7 +11,6 @@ from seifinv import (
     mat_det,
     mat_inv,
     mat_mul,
-    mat_vec,
 )
 
 SWAP = IntMatrix2(0, 1, 1, 0)
@@ -60,9 +59,6 @@ class TestArithmetic:
         for A in window_matrices(2):
             if abs(mat_det(A)) == 1:
                 assert mat_inv(mat_inv(A)) == A
-
-    def test_vector_action(self):
-        assert mat_vec(IntMatrix2(0, 1, 1, 2), (-2, 1)) == (1, 0)
 
 
 class TestIsInvolution:
