@@ -25,7 +25,6 @@ __all__ = [
     "AdmissibilityReport",
     "Violation",
     "check_admissible",
-    "classify_case",
     "enumerate_admissible",
     "exclude_fixed_point_free",
 ]
@@ -111,19 +110,6 @@ def exclude_fixed_point_free(M: SeifertInvariants) -> bool:
     N = normalize(M)
     is_product = N.base.orientable and not N.pairs and N.b == 0
     return not is_product
-
-
-def classify_case(M: SeifertInvariants) -> str:
-    """Case label 1a/1b/2a/2b/3a/3b/3c for an admissible descriptor.
-
-    The sign of the orbifold Euler characteristic picks the major case
-    (1: positive, 2: zero, 3: negative); (genus, n) picks the letter.  The
-    label is read off the ``check_admissible`` report.
-    """
-    label = check_admissible(M).case_label if M.base.orientable else None
-    if label is None:
-        raise ValueError("case labels are defined only for admissible descriptors")
-    return label
 
 
 def enumerate_admissible(g_max: int, n_max: int) -> list[SeifertInvariants]:

@@ -3,9 +3,11 @@
 Every such involution of an admissible non-product manifold factors as the
 base-trivial fiber flip composed with a fiber-preserving, orientation-
 preserving involution, so counting reduces to the conjugacy cases of the
-orientation-preserving factor acting on the marked base sphere.  The module
-also validates the fiber-flip data at the boundary level, and lifts
-non-orientable-base descriptors to the orientable-base double cover.
+orientation-preserving factor acting on the marked base sphere.  The fiber
+flip is the product involution extended across V(2,2;-1) blocks, so psi-check
+reads the one validator of that data, ``filling.verify_v221_construction``.
+The module also lifts non-orientable-base descriptors to the orientable-base
+double cover.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .admissibility import AdmissibilityReport, check_admissible
-from .filling import V221BoundaryData, extension_condition, v221_boundary_data
+from .filling import verify_v221_construction
 from .invariants import (
     BaseSurface,
     SeifertInvariants,
@@ -23,24 +25,19 @@ from .invariants import (
     orbifold_euler_characteristic,
 )
 from .surfaces import InvolutionKind, SurfaceInvolutionClass
-from .torus_mcg import IntMatrix2, is_involution
 
 __all__ = [
     "CensusReport",
     "CensusScopeError",
     "DoubleCoverReport",
     "FactorizationRecord",
-    "FiberFlipDescriptor",
     "enumerate_factorizations",
     "fiber_flip_conjugacy_check",
-    "fiber_flip_descriptor",
     "lift_to_double_cover",
 ]
 
 PRESERVED = "preserved"
 REVERSED = "reversed"
-
-_OUTER_REFERENCE = IntMatrix2(-1, 0, 0, 1)
 
 
 class CensusScopeError(ValueError):
@@ -118,63 +115,17 @@ def enumerate_factorizations(M: SeifertInvariants) -> CensusReport:
     return CensusReport(N, records)
 
 
-@dataclass(frozen=True)
-class FiberFlipDescriptor:
-    """Boundary-level data of the base-trivial fiber flip on a manifold:
-    the marked order-2 fibers paired into V(2,2;-1) blocks, with per-block
-    boundary actions."""
+def fiber_flip_conjugacy_check(M: SeifertInvariants, trials: int) -> bool:
+    """Validate the fiber-flip data of ``M``; inadmissible input is refused.
 
-    manifold: SeifertInvariants
-    pairing: tuple[tuple[int, int], ...]
-    blocks: tuple[V221BoundaryData, ...]
-
-    def __post_init__(self):
-        n = len(self.manifold.pairs)
-        if n % 2 != 0 or len(self.blocks) != n // 2 or len(self.pairing) != n // 2:
-            raise ValueError("need exactly one block per pair of order-2 fibers")
-
-
-def fiber_flip_descriptor(M: SeifertInvariants) -> FiberFlipDescriptor:
-    """Canonical fiber-flip data for an admissible descriptor: consecutive
-    marked fibers are paired and every block carries the standard
-    V(2,2;-1) boundary data in the reference framing."""
-    report = check_admissible(M)
-    if not report.admissible:
-        raise ValueError(f"{M} admits no reversing involution")
-    N = normalize(M)
-    n = len(N.pairs)
-    pairing = tuple((2 * i, 2 * i + 1) for i in range(n // 2))
-    return FiberFlipDescriptor(N, pairing, (v221_boundary_data(),) * (n // 2))
-
-
-def _block_valid(block: V221BoundaryData) -> bool:
-    """A block is valid when every inner action is an involution inside its
-    extension-condition set and the outer action is the fiber flip
-    diag(-1, 1)."""
-    return (
-        all(
-            is_involution(action) and action in extension_condition(slope)
-            for action, slope in block.pairs
-        )
-        and block.outer == _OUTER_REFERENCE
-    )
-
-
-def fiber_flip_conjugacy_check(
-    M: SeifertInvariants,
-    trials: int,
-    descriptor: FiberFlipDescriptor | None = None,
-) -> bool:
-    """Validate the fiber-flip data of ``M`` (or ``descriptor``) once.
-
-    Every base-trivial fiber flip is the V(2,2;-1) product-involution data
-    up to fiber-preserving conjugacy, and re-framing a block and pulling it
-    back returns the same data, so repeated trials cannot change the
-    verdict: for ``trials >= 1`` the result is one validation of every
-    block.  ``trials < 1`` passes vacuously.
+    Every V(2,2;-1) block of the base-trivial fiber flip carries the same
+    boundary data, so for ``trials >= 1`` the verdict is one run of the
+    V(2,2;-1) validator, whatever the trial count.  ``trials < 1`` passes
+    vacuously.
     """
-    desc = descriptor if descriptor is not None else fiber_flip_descriptor(M)
-    return trials < 1 or all(_block_valid(b) for b in desc.blocks)
+    if not check_admissible(M).admissible:
+        raise ValueError(f"{M} admits no reversing involution")
+    return trials < 1 or verify_v221_construction().passed
 
 
 @dataclass(frozen=True)

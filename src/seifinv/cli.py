@@ -81,7 +81,11 @@ def _parse_slope(text: str) -> FillingSlope:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("SEIFERT_SEED", "0"))
+    raw = os.environ.get("SEIFERT_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"SEIFERT_SEED must be an integer, got {raw!r}") from None
 
 
 def _cmd_classify(args) -> CommandResult:

@@ -18,7 +18,6 @@ __all__ = [
     "IDENTITY",
     "IntMatrix2",
     "InvolutionClassLabel",
-    "conjugate",
     "find_conjugator",
     "involution_class",
     "is_involution",
@@ -72,11 +71,6 @@ def mat_inv(A: IntMatrix2) -> IntMatrix2:
     if det == -1:
         return IntMatrix2(-A.d, A.b, A.c, -A.a)
     raise ValueError(f"matrix {A} is not invertible over the integers (det {det})")
-
-
-def conjugate(H: IntMatrix2, A: IntMatrix2) -> IntMatrix2:
-    """H A H^{-1}; requires |det H| = 1."""
-    return mat_mul(mat_mul(H, A), mat_inv(H))
 
 
 def is_involution(A: IntMatrix2) -> bool:

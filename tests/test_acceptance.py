@@ -15,7 +15,6 @@ from seifinv import (
     IntMatrix2,
     SeifertInvariants,
     SeifertParseError,
-    boundary_homology_identity,
     count_classes,
     enumerate_factorizations,
     euler_number,
@@ -30,11 +29,10 @@ from seifinv import (
     parse_seifert,
     print_seifert,
     solve_boundary_involutions,
-    v221_boundary_data,
     verify_v221_construction,
 )
 from seifinv.cli import run
-from util import coprime_pair, random_descriptor
+from util import coprime_pair, random_descriptor, v221_unit_tampers
 
 GOLDEN = Path(__file__).parent / "data" / "enumerate_gmax3_nmax8.txt"
 
@@ -136,26 +134,20 @@ def test_criterion_4_constraint_solver_uniqueness():
 def test_criterion_5_v221_verification():
     ok = verify_v221_construction().passed
 
-    base = [A for A, _ in v221_boundary_data().pairs]
-    mutations_failed = 0
-    for i in range(3):
-        for field in ("a", "b", "c", "d"):
-            for delta in (1, -1):
-                mats = list(base)
-                entries = {f: getattr(mats[i], f) for f in ("a", "b", "c", "d")}
-                entries[field] += delta
-                mats[i] = IntMatrix2(**entries)
-                if not verify_v221_construction(mats).passed:
-                    mutations_failed += 1
-    ok &= mutations_failed == 24
+    tampers = list(v221_unit_tampers())
+    ok &= len(tampers) == 32
+    ok &= not any(verify_v221_construction(inner, outer).passed for inner, outer in tampers)
 
-    preserved = boundary_homology_identity(fiber_reversed=False)
-    reversed_ = boundary_homology_identity(fiber_reversed=True)
-    ok &= preserved.passed and preserved.alpha_image == (1, 1, 1, 0)
-    ok &= reversed_.passed and reversed_.alpha_image == (-1, -1, -1, 0)
-    ok &= preserved.net_t_exponent == 0 and reversed_.net_t_exponent == 0
+    # Push alpha = -(a1 + a2 + a3) through the extension-condition members
+    # that keep (+1) or reverse (-1) the fiber; each sends a_i to b t + d a_i.
+    fillings = (FillingSlope(1, 2), FillingSlope(1, 2), FillingSlope(-1, 1))
+    for sign, expected in ((1, (1, 1, 1, 0)), (-1, (-1, -1, -1, 0))):
+        mats = [next(A for A in extension_condition(f) if A.a == sign) for f in fillings]
+        alpha_image = tuple(-A.d for A in mats) + (-sum(A.b for A in mats),)
+        ok &= alpha_image == expected and all(A.c == 0 for A in mats)
+    ok &= verify_v221_construction(mats).passed  # the fiber-reversing members
 
-    _report(5, ok, "V(2,2;-1) data verifies; all 24 perturbations fail; homology identity holds")
+    _report(5, ok, "V(2,2;-1) data verifies; all 32 perturbations fail; homology identity holds")
 
 
 def test_criterion_6_conjugacy_oracle_agreement():

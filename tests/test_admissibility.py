@@ -8,7 +8,6 @@ from seifinv import (
     SeifertInvariants,
     Violation,
     check_admissible,
-    classify_case,
     enumerate_admissible,
     euler_number,
     exclude_fixed_point_free,
@@ -92,37 +91,39 @@ class TestExcludeFixedPointFree:
 
 
 class TestClassifyCase:
+    """Case labels, read off the one admissibility report."""
+
     def test_trivial_sphere_bundle(self):
-        assert classify_case(M(0)) == "1a"
+        assert check_admissible(M(0)).case_label == "1a"
 
     def test_three_torus(self):
-        assert classify_case(M(1)) == "2b"
+        assert check_admissible(M(1)).case_label == "2b"
 
     def test_torus_base_with_fibers(self):
-        assert classify_case(M(1, [(2, 1), (2, 1)], -1)) == "3b"
+        assert check_admissible(M(1, [(2, 1), (2, 1)], -1)).case_label == "3b"
 
     def test_positive_chi_case_has_genus_zero(self):
         # The positive-curvature two-fiber case lives over the sphere; a
         # genus-1 descriptor with the same fiber data is hyperbolic (3b).
-        assert classify_case(parse_seifert("(0,o1|(2,1),(2,1),(1,-1))")) == "1b"
-        assert classify_case(parse_seifert("(1,o1|(2,1),(2,1),(1,-1))")) == "3b"
+        assert check_admissible(parse_seifert("(0,o1|(2,1),(2,1),(1,-1))")).case_label == "1b"
+        assert check_admissible(parse_seifert("(1,o1|(2,1),(2,1),(1,-1))")).case_label == "3b"
 
     def test_higher_genus_trivial_bundles_are_3a(self):
         # chi_orb < 0 wins even with n = 0.
-        assert classify_case(M(2)) == "3a"
-        assert classify_case(M(5)) == "3a"
+        assert check_admissible(M(2)).case_label == "3a"
+        assert check_admissible(M(5)).case_label == "3a"
 
     def test_genus_zero_many_fibers_is_3c(self):
-        assert classify_case(M(0, [(2, 1)] * 6, -3)) == "3c"
+        assert check_admissible(M(0, [(2, 1)] * 6, -3)).case_label == "3c"
 
     def test_rejects_inadmissible(self):
-        with pytest.raises(ValueError):
-            classify_case(M(0, [(3, 1)] * 3, -1))
+        report = check_admissible(M(0, [(3, 1)] * 3, -1))
+        assert report.admissible is False and report.case_label is None
 
     def test_partition_by_chi_sign(self):
         for desc in enumerate_admissible(4, 10):
             chi = orbifold_euler_characteristic(desc)
-            label = classify_case(desc)
+            label = check_admissible(desc).case_label
             if chi > 0:
                 assert label in ("1a", "1b")
             elif chi == 0:

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -9,19 +9,19 @@ from seifinv import (
     IntMatrix2,
     InvolutionKind,
     SeifertInvariants,
-    V221BoundaryData,
+    census,
     check_admissible,
     enumerate_factorizations,
     euler_number,
     fiber_flip_conjugacy_check,
-    fiber_flip_descriptor,
     lift_to_double_cover,
     normalize,
     orbifold_euler_characteristic,
     parse_seifert,
     print_seifert,
+    verify_v221_construction,
 )
-from util import coprime_pair
+from util import coprime_pair, v221_unit_tampers
 
 FLAT = parse_seifert("(0,o1|(2,1),(2,1),(2,1),(2,1),(1,-2))")
 EIGHT = parse_seifert("(0,o1|" + "(2,1)," * 8 + "(1,-4))")
@@ -84,44 +84,29 @@ class TestFiberFlipConjugacy:
     def test_zero_trials_vacuous(self):
         assert fiber_flip_conjugacy_check(FLAT, trials=0)
 
-    def test_tampered_descriptor_fails(self):
-        desc = fiber_flip_descriptor(FLAT)
-        block = desc.blocks[0]
-        (A0, s0), rest = block.pairs[0], block.pairs[1:]
-        bad = IntMatrix2(A0.a, A0.b + 1, A0.c, A0.d)
-        tampered_block = V221BoundaryData(((bad, s0),) + rest, block.outer)
-        tampered = replace(desc, blocks=(tampered_block,) + desc.blocks[1:])
-        assert not fiber_flip_conjugacy_check(FLAT, trials=5, descriptor=tampered)
+    def test_inadmissible_refused(self):
+        bad = M(0, [(2, 1), (2, 1)])
+        for trials in (0, 1):
+            with pytest.raises(ValueError, match=r"admits no reversing involution$"):
+                fiber_flip_conjugacy_check(bad, trials)
+
+    # psi-check reads its verdict from the one V(2,2;-1) validator: bound to
+    # tampered data, it must fail for every positive trial count.
+    def test_tampered_descriptor_fails(self, monkeypatch):
+        bad = (IntMatrix2(-1, 2, 0, 1), IntMatrix2(-1, -2, 0, 1), IntMatrix2(-1, 1, 0, 1))
+        monkeypatch.setattr(census, "verify_v221_construction", partial(verify_v221_construction, bad))
+        assert not fiber_flip_conjugacy_check(FLAT, trials=5)
 
     @pytest.mark.parametrize("manifold", [FLAT, EIGHT], ids=["4-fiber", "8-fiber"])
-    def test_every_unit_tamper_fails(self, manifold):
-        desc = fiber_flip_descriptor(manifold)
-        tampered = list(_unit_tampers(desc))
-        assert len(tampered) == len(desc.blocks) * 4 * 4 * 2
-        for bad in tampered:
+    def test_every_unit_tamper_fails(self, manifold, monkeypatch):
+        tampers = list(v221_unit_tampers())
+        assert len(tampers) == 32
+        for inner, outer in tampers:
+            validator = partial(verify_v221_construction, inner, outer)
+            monkeypatch.setattr(census, "verify_v221_construction", validator)
             for trials in (1, 3, 17):
-                assert not fiber_flip_conjugacy_check(manifold, trials, descriptor=bad)
-            assert fiber_flip_conjugacy_check(manifold, 0, descriptor=bad)
-
-    def test_block_count_matches_pairing(self):
-        desc = fiber_flip_descriptor(FLAT)
-        assert len(desc.blocks) == 2
-        assert desc.pairing == ((0, 1), (2, 3))
-
-
-def _unit_tampers(desc):
-    """Every copy of ``desc`` with one entry of one block's inner or outer
-    action moved by +-1."""
-    for i, data in enumerate(desc.blocks):
-        matrices = [A for A, _ in data.pairs] + [data.outer]
-        for j, A in enumerate(matrices):
-            for entry in "abcd":
-                for step in (1, -1):
-                    moved = list(matrices)
-                    moved[j] = replace(A, **{entry: getattr(A, entry) + step})
-                    pairs = tuple((B, s) for B, (_, s) in zip(moved, data.pairs))
-                    bad = V221BoundaryData(pairs, moved[-1])
-                    yield replace(desc, blocks=desc.blocks[:i] + (bad,) + desc.blocks[i + 1 :])
+                assert not fiber_flip_conjugacy_check(manifold, trials)
+            assert fiber_flip_conjugacy_check(manifold, 0)
 
 
 class TestLiftToDoubleCover:

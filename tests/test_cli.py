@@ -207,6 +207,14 @@ class TestPsiCheck:
         )
         assert payload["seed"] == 9
 
+    def test_bad_env_seed_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("SEIFERT_SEED", "abc")
+        result = run(["psi-check", "(0,o1|(2,1),(2,1),(1,-1))"])
+        assert (result.status, result.exit_code) == ("error", 1)
+        assert result.message == "SEIFERT_SEED must be an integer, got 'abc'"
+        explicit = run(["psi-check", "(0,o1|(2,1),(2,1),(1,-1))", "--seed", "4"])
+        assert explicit.exit_code == 0
+
     def test_negative_trials_refused(self):
         result = run(["psi-check", "(0,o1|(2,1),(2,1),(1,-1))", "--trials", "-5"])
         assert result.exit_code == 1

@@ -4,7 +4,6 @@ from seifinv import (
     IDENTITY,
     IntMatrix2,
     InvolutionClassLabel,
-    conjugate,
     find_conjugator,
     involution_class,
     is_involution,
@@ -100,7 +99,7 @@ class TestInvolutionClass:
         for A in involutions:
             label = involution_class(A)
             for H in conjugators:
-                assert involution_class(conjugate(H, A)) == label
+                assert involution_class(mat_mul(mat_mul(H, A), mat_inv(H))) == label
 
 
 class TestFindConjugator:
