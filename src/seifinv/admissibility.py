@@ -49,10 +49,10 @@ def _violations(N: SeifertInvariants) -> tuple[Violation, ...]:
     out = []
     if euler_number(N) != 0:
         out.append(Violation.NONZERO_EULER)
-    higher = any(q > 2 for q, _ in N.pairs)
+    higher = any(q > 2 for q, _ in N.tally)
     if higher:
         out.append(Violation.ORDER_GREATER_THAN_TWO)
-    n = sum(1 for q, _ in N.pairs if q == 2)
+    n = sum(count for (q, _), count in N.tally.items() if q == 2)
     if n % 2 != 0:
         out.append(Violation.ODD_COUNT)
     # The b = -n/2 comparison presumes every fiber has order two; with

@@ -75,6 +75,14 @@ class CensusReport:
         return len(self.records)
 
 
+def _require_admissible(M: SeifertInvariants) -> None:
+    """Refuse ``M`` unless it is admissible, naming every violation."""
+    report = check_admissible(M)
+    if not report.admissible:
+        tags = ", ".join(v.value for v in report.violations)
+        raise ValueError(f"{M} admits no reversing involution ({tags})")
+
+
 def enumerate_factorizations(M: SeifertInvariants) -> CensusReport:
     """Conjugacy cases of reversing involutions for an admissible genus-0 base.
 
@@ -86,10 +94,7 @@ def enumerate_factorizations(M: SeifertInvariants) -> CensusReport:
     marked points are in scope and get the same six records; higher genus
     and larger censuses are refused rather than guessed.
     """
-    report = check_admissible(M)
-    if not report.admissible:
-        tags = ", ".join(v.value for v in report.violations)
-        raise ValueError(f"{M} admits no reversing involution ({tags})")
+    _require_admissible(M)
     N = normalize(M)
     if N.base.genus != 0:
         raise CensusScopeError("factorization census covers base genus 0 only")
@@ -116,15 +121,15 @@ def enumerate_factorizations(M: SeifertInvariants) -> CensusReport:
 
 
 def fiber_flip_conjugacy_check(M: SeifertInvariants, trials: int) -> bool:
-    """Validate the fiber-flip data of ``M``; inadmissible input is refused.
+    """Validate the fiber-flip data of ``M``; inadmissible input is refused
+    with its violations named.
 
     Every V(2,2;-1) block of the base-trivial fiber flip carries the same
     boundary data, so for ``trials >= 1`` the verdict is one run of the
     V(2,2;-1) validator, whatever the trial count.  ``trials < 1`` passes
     vacuously.
     """
-    if not check_admissible(M).admissible:
-        raise ValueError(f"{M} admits no reversing involution")
+    _require_admissible(M)
     return trials < 1 or verify_v221_construction().passed
 
 

@@ -21,7 +21,7 @@ from .census import (
     fiber_flip_conjugacy_check,
     lift_to_double_cover,
 )
-from .filling import FillingSlope, check_extends, extension_condition, verify_v221_construction
+from .filling import FillingSlope, extension_condition, verify_v221_construction
 from .invariants import (
     SeifertParseError,
     euler_number,
@@ -181,7 +181,7 @@ def _cmd_extend(args) -> CommandResult:
     slope = _parse_slope(args.slope)
     A = _parse_matrix(args.matrix)
     condition = _sorted_matrices(extension_condition(slope))
-    extends = check_extends(A, slope)
+    extends = A in condition
     payload = {
         "schema": SCHEMA,
         "slope": str(slope),
@@ -395,7 +395,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_lift)
 
-    p = sub.add_parser("psi-check", help="re-framing stability of the fiber-flip data")
+    p = sub.add_parser(
+        "psi-check",
+        help="refuse an inadmissible descriptor, else run the V(2,2;-1) validator once",
+    )
     p.add_argument("descriptor")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)

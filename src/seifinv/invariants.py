@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import sys
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -81,25 +83,70 @@ class BaseSurface:
 
 @dataclass(frozen=True)
 class SeifertInvariants:
-    """Descriptor (g, o1 | (q1,p1), ..., (1,b)) with exact integer data."""
+    """Descriptor (g, o1 | (q1,p1), ..., (1,b)) with exact integer data.
+
+    ``tally`` maps each distinct pair to its multiplicity, in first-seen
+    order; the invariants are computed from it, once per distinct pair.  It
+    is derived from ``pairs``, takes no part in equality, hashing or repr,
+    and must not be mutated.
+    """
 
     base: BaseSurface
     pairs: tuple[tuple[int, int], ...] = ()
     b: int = 0
+    tally: Counter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((int(q), int(p)) for q, p in self.pairs))
-        for q, p in self.pairs:
+        pairs, tally = _int_pairs(self.pairs)
+        for q, p in tally:
             if q < 1:
                 raise ValueError(f"fiber order must be positive in ({q},{p})")
             if math.gcd(p, q) != 1:
                 raise ValueError(f"non-coprime pair ({q},{p})")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "tally", tally)
 
     def __str__(self) -> str:
         return print_seifert(self)
 
 
+def _int_pairs(pairs) -> tuple[tuple[tuple[int, int], ...], Counter]:
+    """``pairs`` as a tuple of (int, int) tuples, and its tally.
+
+    A tuple whose distinct entries are all (int, int) tuples is counted as
+    given, and each entry is replaced by its tally key, so an entry that only
+    equals an int pair, such as (2, True), is stored as that pair.  Any other
+    input is rebuilt pair by pair with ``int``.
+    """
+    if type(pairs) is tuple:
+        try:
+            tally = Counter(pairs)
+        except TypeError:  # unhashable entries, such as lists
+            tally = None
+        if tally is not None and all(
+            type(k) is tuple and len(k) == 2 and type(k[0]) is int and type(k[1]) is int
+            for k in tally
+        ):
+            return tuple(map(dict(zip(tally, tally)).__getitem__, pairs)), tally
+    pairs = tuple((int(q), int(p)) for q, p in pairs)
+    return pairs, Counter(pairs)
+
+
 _INT_RE = re.compile(r"-?\d+")
+# One exceptional pair and the comma after it, if any.  \s and \d match
+# exactly the code points str.isspace and str.isdecimal accept, so a pair
+# this pattern rejects is also rejected by the token walk.
+_PAIR_RE = re.compile(r"\s*(\()\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*(,?)")
+
+
+def _integer(digits: str, pos: int) -> int:
+    """``int(digits)`` for a ``-?\\d+`` token found at ``pos``."""
+    try:
+        return int(digits)
+    except ValueError:  # such a token converts unless it is past the digit limit
+        raise SeifertParseError(
+            f"integer longer than {sys.get_int_max_str_digits()} digits", pos
+        ) from None
 
 
 class _Scanner:
@@ -135,7 +182,7 @@ class _Scanner:
         if m is None:
             raise SeifertParseError("expected an integer", self.pos)
         self.pos = m.end()
-        return int(m.group())
+        return _integer(m.group(), m.start())
 
     def at_end(self) -> bool:
         self._skip_ws()
@@ -148,7 +195,10 @@ def parse_seifert(text: str) -> SeifertInvariants:
     Pairs are kept in written order and nothing is normalized.  A trailing
     (1, x) pair sets the obstruction term b.  Raises ``SeifertParseError``
     (carrying the failing position) for syntax errors, non-coprime pairs,
-    and non-positive fiber orders.
+    non-positive fiber orders, and integers longer than
+    ``sys.get_int_max_str_digits()`` digits.  Each pair is read with one
+    regular-expression match; a pair it rejects is walked token by token,
+    which raises at the failing token.
     """
     s = _Scanner(text)
     s.expect("(")
@@ -168,21 +218,31 @@ def parse_seifert(text: str) -> SeifertInvariants:
         raise SeifertParseError("non-orientable base surface needs genus >= 1", genus_pos)
     s.expect("|")
     pairs: list[tuple[int, int]] = []
-    if not s.peek(")"):
-        while True:
+    more = not s.peek(")")
+    while more:
+        m = _PAIR_RE.match(text, s.pos)
+        if m is None:
             pair_pos = s.next_pos()
             s.expect("(")
             q = s.integer()
             s.expect(",")
             p = s.integer()
             s.expect(")")
-            if q < 1:
-                raise SeifertParseError(f"fiber order must be positive in ({q},{p})", pair_pos)
-            if math.gcd(p, q) != 1:
-                raise SeifertParseError(f"non-coprime pair ({q},{p})", pair_pos)
-            pairs.append((q, p))
-            if not s.try_consume(","):
-                break
+            more = s.try_consume(",")
+        else:
+            pair_pos = m.start(1)
+            _, qs, ps, comma = m.groups()
+            try:
+                q, p = int(qs), int(ps)
+            except ValueError:
+                q, p = _integer(qs, m.start(2)), _integer(ps, m.start(3))
+            s.pos = m.end()
+            more = comma == ","
+        if q < 1:
+            raise SeifertParseError(f"fiber order must be positive in ({q},{p})", pair_pos)
+        if math.gcd(p, q) != 1:
+            raise SeifertParseError(f"non-coprime pair ({q},{p})", pair_pos)
+        pairs.append((q, p))
     s.expect(")")
     if not s.at_end():
         raise SeifertParseError("unexpected trailing text", s.next_pos())
@@ -198,9 +258,11 @@ def print_seifert(M: SeifertInvariants) -> str:
     The obstruction term is printed as a trailing (1, b) pair when b != 0,
     and also when the stored pair list itself ends in a q = 1 pair (so the
     trailing pair is never mistaken for the obstruction term on re-parse).
+    Each distinct pair is formatted once.
     """
     base = "o1" if M.base.orientable else "n1"
-    items = [f"({q},{p})" for q, p in M.pairs]
+    text = {(q, p): f"({q},{p})" for q, p in M.tally}
+    items = list(map(text.__getitem__, M.pairs))
     if M.b != 0 or (M.pairs and M.pairs[-1][0] == 1):
         items.append(f"(1,{M.b})")
     return f"({M.base.genus},{base}|{','.join(items)})"
@@ -211,40 +273,45 @@ def normalize(M: SeifertInvariants) -> SeifertInvariants:
 
     Each move (q,p) -> (q, p mod q) adds (p - p mod q)/q to b, so the Euler
     number is preserved exactly.  A descriptor that is already normal is
-    returned as it is.
+    returned as it is.  Each distinct pair is folded once.
     """
-    if all(0 < p < q for q, p in M.pairs):
+    if all(0 < p < q for q, p in M.tally):
         return M
     b = M.b
-    pairs: list[tuple[int, int]] = []
-    for q, p in M.pairs:
+    folded: dict[tuple[int, int], tuple[int, int] | None] = {}
+    for (q, p), count in M.tally.items():
         if q == 1:
-            b += p
+            b += count * p
+            folded[q, p] = None
         else:
             r = p % q  # 0 < r < q because gcd(p, q) = 1 and q >= 2
-            b += (p - r) // q
-            pairs.append((q, r))
-    return SeifertInvariants(M.base, tuple(pairs), b)
+            b += count * ((p - r) // q)
+            folded[q, p] = (q, r)
+    pairs = tuple(filter(None, map(folded.__getitem__, M.pairs)))
+    return SeifertInvariants(M.base, pairs, b)
 
 
 def euler_number(M: SeifertInvariants) -> Fraction:
     """e = -(b + sum of p_i/q_i), exactly.
 
     The sum is taken in integers over the common denominator L = lcm(q_i),
-    e = -(b*L + sum of p_i*(L/q_i)) / L, and reduced once at the end.
+    e = -(b*L + sum of p_i*(L/q_i)) / L, once per distinct pair weighted by
+    its multiplicity, and reduced once at the end.
     """
-    L = math.lcm(*(q for q, _ in M.pairs))
-    return Fraction(-(M.b * L + sum(p * (L // q) for q, p in M.pairs)), L)
+    L = math.lcm(*(q for q, _ in M.tally))
+    total = sum(count * p * (L // q) for (q, p), count in M.tally.items())
+    return Fraction(-(M.b * L + total), L)
 
 
 def orbifold_euler_characteristic(M: SeifertInvariants) -> Fraction:
     """chi of the underlying base surface minus sum of (1 - 1/q_i).
 
-    Summed in integers over L = lcm(q_i) as (chi*L - sum of (L - L/q_i)) / L
-    and reduced once at the end.
+    Summed in integers over L = lcm(q_i) as (chi*L - sum of (L - L/q_i)) / L,
+    once per distinct pair weighted by its multiplicity, and reduced once at
+    the end.
     """
-    L = math.lcm(*(q for q, _ in M.pairs))
-    deficit = sum(L - L // q for q, _ in M.pairs)
+    L = math.lcm(*(q for q, _ in M.tally))
+    deficit = sum(count * (L - L // q) for (q, _), count in M.tally.items())
     return Fraction(M.base.euler_characteristic() * L - deficit, L)
 
 

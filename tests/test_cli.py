@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from seifinv import cli, filling
 from seifinv.cli import run
 
 
@@ -38,6 +39,19 @@ class TestClassify:
         assert result.exit_code == 1
         assert result.status == "error"
         assert "position" in result.message
+
+    def test_integer_digit_limit(self):
+        previous, limit = sys.get_int_max_str_digits(), 4300  # Python's default limit
+        sys.set_int_max_str_digits(limit)
+        try:
+            at_limit = run(["classify", f"(0,o1|(2,{'9' * limit}))"])
+            past = run(["classify", f"(0,o1|(2,{'9' * (limit + 1)}))"])
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert (at_limit.status, at_limit.exit_code) == ("ok", 0)
+        assert at_limit.message.startswith(f"(0,o1|(2,1),(1,{'4' + '9' * (limit - 1)}))  e=-{'9' * limit}/2")
+        assert (past.status, past.exit_code) == ("error", 1)
+        assert past.message == f"integer longer than {limit} digits (at position 9)"
 
     def test_json_output_is_valid_json(self):
         result = run(["classify", "(1,o1|)", "--json"])
@@ -128,6 +142,25 @@ class TestExtend:
 
     def test_unsupported_slope(self):
         assert run(["extend", "--slope", "3,2", "--matrix", "1,0;0,-1"]).exit_code == 1
+
+    def test_derives_the_condition_once(self, monkeypatch):
+        calls = []
+        original = filling.extension_condition
+
+        def counted(slope):
+            calls.append(slope)
+            return original(slope)
+
+        for module in (cli, filling):
+            monkeypatch.setattr(module, "extension_condition", counted)
+        for argv in (
+            ["extend", "--slope", "1,2", "--matrix=-1,1;0,1"],
+            ["extend", "--slope", "1,2", "--matrix", "1,0;0,-1", "--json"],
+            ["extend", "--slope=-3,1", "--matrix=-1,6;0,1", "--json"],
+        ):
+            calls.clear()
+            assert run(argv).exit_code == 0
+            assert len(calls) == 1, argv
 
 
 class TestVerifyV221:
@@ -220,6 +253,24 @@ class TestPsiCheck:
         assert result.exit_code == 1
         assert result.status == "error"
         assert "--trials" in result.message
+
+    def test_refusal_names_the_violations_as_census_does(self):
+        for descriptor, tags in [
+            ("(0,o1|(3,1),(3,1),(3,1),(1,-1))", "OrderGreaterThanTwo"),
+            ("(0,o1|(2,1),(2,1))", "NonzeroEuler, WrongBTerm"),
+            ("(0,o1|(2,1),(1,-1))", "NonzeroEuler, OddCount, WrongBTerm"),
+        ]:
+            results = [run(["psi-check", descriptor, *extra]) for extra in ([], ["--trials", "0"])]
+            results.append(run(["census", descriptor]))
+            for result in results:
+                assert (result.status, result.exit_code) == ("error", 1)
+                assert result.message == f"{descriptor} admits no reversing involution ({tags})"
+
+    def test_help_describes_the_validator(self, capsys):
+        assert run(["--help"]).exit_code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "re-framing" not in text
+        assert "psi-check refuse an inadmissible descriptor, else run the V(2,2;-1) validator once" in text
 
     def test_zero_trials_pass_vacuously(self):
         payload = payload_of(["psi-check", "(0,o1|(2,1),(2,1),(1,-1))", "--trials", "0", "--json"])

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,36 @@ def M(genus, pairs=(), b=0, orientable=True):
     return SeifertInvariants(BaseSurface(genus, orientable), tuple(pairs), b)
 
 
+@pytest.fixture
+def digit_limit():
+    """Python's default limit on int/str conversion, restored afterwards."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(previous)
+
+
+_WIDE_POOL = ("(2,1)", "(3,-1)", "(1,4)", "(5,2)", "(2,-3)")
+
+# (replacement text for one pair, offset of the error inside it, message)
+_PLANTED_ERRORS = [
+    ("(4,2)", 0, "non-coprime pair (4,2)"),
+    (" \u2003(4,2)", 2, "non-coprime pair (4,2)"),
+    ("(0,1)", 0, "fiber order must be positive in (0,1)"),
+    ("( -2 , 1 )", 0, "fiber order must be positive in (-2,1)"),
+    ("( 2 1)", 4, "expected ','"),
+    ("(2,1]", 4, "expected ')'"),
+    ("(x,1)", 1, "expected an integer"),
+    ("(2,)", 3, "expected an integer"),
+    ("(2,--1)", 3, "expected an integer"),
+    ("2,1)", 0, "expected '('"),
+    ("", 0, "expected '('"),
+    ("(2,1)x", 5, "expected ')'"),
+    ("(2," + "1" * 4301 + ")", 3, "integer longer than 4300 digits"),
+    ("(" + "2" * 4301 + ",1)", 1, "integer longer than 4300 digits"),
+]
+
+
 class TestParse:
     def test_four_order_two_fibers(self):
         got = parse_seifert("(0,o1|(2,1),(2,1),(2,1),(2,1),(1,-2))")
@@ -39,6 +71,10 @@ class TestParse:
 
     def test_whitespace_insensitive(self):
         assert parse_seifert(" ( 0 , o1 | ( 2 , 1 ) ) ") == M(0, [(2, 1)])
+        text = "{0}({0}0{0},{0}o1{0}|{0}({0}2{0},{0}1{0}){0},{0}({0}2{0},{0}1{0}){0},({0}1,{0}-1{0}){0}){0}"
+        for ws in ("\u00a0", "\u2003", "\x1c"):  # no-break space, em space, file separator
+            assert ws.isspace()
+            assert parse_seifert(text.format(ws)) == M(0, [(2, 1)] * 2, -1)
 
     def test_interior_unit_pairs_kept_verbatim(self):
         got = parse_seifert("(0,o1|(2,1),(1,-1),(2,1),(1,-1))")
@@ -50,11 +86,40 @@ class TestParse:
         with pytest.raises(SeifertParseError):
             parse_seifert("(0,o1|(-2,1))")
 
-    def test_positions_reported(self):
+    def test_positions_reported(self, digit_limit):
         for text, pos in [("", 0), ("(0,x1|)", 3), ("(0,o1|(2,1)", 11)]:
             with pytest.raises(SeifertParseError) as exc:
                 parse_seifert(text)
             assert exc.value.position == pos
+        # Every planted error at the first, middle and last of 400 pairs.
+        items = [_WIDE_POOL[i % len(_WIDE_POOL)] for i in range(400)]
+        prefix = "(1,o1|"
+        for at in (0, 199, 399):
+            start = len(prefix) + sum(len(item) + 1 for item in items[:at])
+            for planted, offset, message in _PLANTED_ERRORS:
+                text = prefix + ",".join(items[:at] + [planted] + items[at + 1 :]) + ")"
+                with pytest.raises(SeifertParseError) as exc:
+                    parse_seifert(text)
+                pos = start + offset
+                assert (exc.value.position, str(exc.value)) == (pos, f"{message} (at position {pos})")
+
+    def test_integer_digit_limit(self, digit_limit):
+        at_limit = "9" * digit_limit
+        assert parse_seifert(f"(0,o1|(2,{at_limit}))").pairs == ((2, int(at_limit)),)
+        assert parse_seifert(f"(0,o1|(2,-{at_limit}))").pairs == ((2, -int(at_limit)),)
+        assert parse_seifert(f"({at_limit},o1|)").base.genus == int(at_limit)
+        past = at_limit + "9"
+        for text, pos in [
+            (f"(0,o1|(2,{past}))", 9),
+            (f"(0,o1|(2,-{past}))", 9),
+            (f"(0,o1|( {past} ,1))", 8),
+            (f"(0,o1|(2,{past}),(2,1)", 9),
+            (f"({past},o1|)", 1),
+        ]:
+            with pytest.raises(SeifertParseError) as exc:
+                parse_seifert(text)
+            assert exc.value.position == pos
+            assert str(exc.value) == f"integer longer than {digit_limit} digits (at position {pos})"
 
 
 class TestPrint:
@@ -154,6 +219,26 @@ def _fraction_sums(desc):
     return -e, chi
 
 
+def _per_pair_normalize(desc):
+    """The textbook fold, one pair at a time."""
+    b, pairs = desc.b, []
+    for q, p in desc.pairs:
+        if q == 1:
+            b += p
+        else:
+            b += p // q
+            pairs.append((q, p % q))
+    return M(desc.base.genus, pairs, b, desc.base.orientable)
+
+
+def _per_pair_print(desc):
+    items = [f"({q},{p})" for q, p in desc.pairs]
+    if desc.b != 0 or (desc.pairs and desc.pairs[-1][0] == 1):
+        items.append(f"(1,{desc.b})")
+    base = "o1" if desc.base.orientable else "n1"
+    return f"({desc.base.genus},{base}|{','.join(items)})"
+
+
 class TestIntegerSums:
     def test_match_per_pair_fraction_sums(self):
         rng = random.Random(4013)
@@ -172,6 +257,25 @@ class TestIntegerSums:
             e, chi = _fraction_sums(desc)
             assert euler_number(desc) == e
             assert orbifold_euler_characteristic(desc) == chi
+        # Few distinct pairs, each repeated many times, as in (g, o1|(2,1)^n, ...).
+        for _ in range(200):
+            pool = [(2, 1), (2, -1), (2, 3), (1, rng.randint(-3, 3))]
+            while len(pool) < rng.randint(4, 7):
+                q = rng.choice(orders)
+                p = rng.randint(-5 * q, 5 * q)
+                if math.gcd(p, q) == 1:
+                    pool.append((q, p))
+            n = rng.choice((2, 50, 199, 400))
+            pairs = [rng.choice(pool[: rng.randint(1, len(pool))]) for _ in range(n)]
+            desc = M(rng.randint(0, 9), pairs, rng.randint(-n, n))
+            e, chi = _fraction_sums(desc)
+            assert euler_number(desc) == e
+            assert orbifold_euler_characteristic(desc) == chi
+            folded = _per_pair_normalize(desc)
+            assert normalize(desc) == folded
+            assert euler_number(folded) == e
+            assert print_seifert(desc) == _per_pair_print(desc)
+            assert parse_seifert(print_seifert(desc)) == desc
 
     def test_normal_descriptor_returned_as_is(self):
         desc = M(2, [(2, 1), (3, 2), (7, 4)], -3)
@@ -216,3 +320,48 @@ class TestValidation:
     def test_non_coprime_construction(self):
         with pytest.raises(ValueError):
             M(0, [(4, 2)])
+
+    @pytest.mark.parametrize("bad", [(0, 1), (-2, 1), (4, 2), (6, -9)])
+    def test_bad_pair_refused_in_wide_descriptors(self, bad):
+        message = "fiber order must be positive in" if bad[0] < 1 else "non-coprime pair"
+        rng = random.Random(31)
+        good = [rng.choice([(2, 1), (3, -1), (1, 4), (5, 2)]) for _ in range(399)]
+        for pairs in (good + [bad], [bad] * 400, tuple(good + [bad]), (bad,) * 400):
+            with pytest.raises(ValueError, match=rf"^{message} \({bad[0]},{bad[1]}\)$"):
+                SeifertInvariants(BaseSurface(0), pairs, 0)
+        text = "(0,o1|" + ",".join(f"({q},{p})" for q, p in good + [bad]) + ")"
+        with pytest.raises(SeifertParseError) as exc:
+            parse_seifert(text)
+        assert exc.value.position == text.rindex("(")
+
+    def test_list_and_non_int_input_coerced(self):
+        class Order(int):
+            pass
+
+        expected = ((2, 1), (2, 1), (3, -1))
+        for pairs in (
+            [[2, 1], [2, 1], [3, -1]],
+            [(2, 1), (2, 1), (3, -1)],
+            ((2, 1), [2, 1], (3, -1)),
+            ((2, 1), (2, True), (3, -1)),
+            ((Order(2), 1), (2, 1), (3, -1)),
+            ((2, 1), (2, 1), (3.0, -1)),
+            (p for p in expected),
+        ):
+            desc = SeifertInvariants(BaseSurface(1), pairs, -1)
+            assert desc.pairs == expected
+            assert [type(x) for pair in desc.pairs for x in pair] == [int] * 6
+            assert type(desc.pairs) is tuple and all(type(pair) is tuple for pair in desc.pairs)
+            assert desc.tally == Counter(expected)
+
+    def test_tally_outside_equality_hash_and_repr(self):
+        a = M(0, [(2, 1)] * 4, -2)
+        b = SeifertInvariants(BaseSurface(0), [[2, 1]] * 4, -2)
+        assert a == b and hash(a) == hash(b)
+        assert a.tally == Counter({(2, 1): 4})
+        assert repr(a) == (
+            "SeifertInvariants(base=BaseSurface(genus=0, orientable=True), "
+            "pairs=((2, 1), (2, 1), (2, 1), (2, 1)), b=-2)"
+        )
+        assert a != M(0, [(2, 1)] * 2, -2)
+        assert len({a, b, M(0, [(2, 1)] * 2, -1)}) == 2
