@@ -33,7 +33,6 @@ __all__ = [
     "ExtensionConstraint",
     "FillingSlope",
     "UnsupportedSlopeError",
-    "check_extends",
     "extension_condition",
     "solve_boundary_involutions",
     "verify_v221_construction",
@@ -127,11 +126,6 @@ def extension_condition(filling: FillingSlope) -> frozenset[IntMatrix2]:
     if filling.l != 1 and (filling.m, filling.l) != (1, 2):
         raise UnsupportedSlopeError(f"no extension condition derived for slope {filling}")
     return solve_boundary_involutions(ExtensionConstraint((1, 0), (filling.m, filling.l)))
-
-
-def check_extends(boundary_action: IntMatrix2, filling: FillingSlope) -> bool:
-    """True iff the boundary action lies in the extension condition set."""
-    return boundary_action in extension_condition(filling)
 
 
 # Fiber-flip actions on the three drilled-fiber tori of V(2,2;-1), the

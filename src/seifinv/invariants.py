@@ -116,7 +116,9 @@ def _int_pairs(pairs) -> tuple[tuple[tuple[int, int], ...], Counter]:
     A tuple whose distinct entries are all (int, int) tuples is counted as
     given, and each entry is replaced by its tally key, so an entry that only
     equals an int pair, such as (2, True), is stored as that pair.  Any other
-    input is rebuilt pair by pair with ``int``.
+    input is rebuilt pair by pair with ``int``.  Counting first spares the
+    per-pair ``int`` calls for pairs that are already ints, as the parser
+    and ``normalize`` build them.
     """
     if type(pairs) is tuple:
         try:
@@ -231,13 +233,9 @@ def parse_seifert(text: str) -> SeifertInvariants:
             more = s.try_consume(",")
         else:
             pair_pos = m.start(1)
-            _, qs, ps, comma = m.groups()
-            try:
-                q, p = int(qs), int(ps)
-            except ValueError:
-                q, p = _integer(qs, m.start(2)), _integer(ps, m.start(3))
+            q, p = _integer(m[2], m.start(2)), _integer(m[3], m.start(3))
             s.pos = m.end()
-            more = comma == ","
+            more = m[4] == ","
         if q < 1:
             raise SeifertParseError(f"fiber order must be positive in ({q},{p})", pair_pos)
         if math.gcd(p, q) != 1:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from seifinv import cli, filling
 from seifinv.cli import run
 
@@ -40,6 +42,9 @@ class TestClassify:
         assert result.status == "error"
         assert "position" in result.message
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int/str digit limit"
+    )
     def test_integer_digit_limit(self):
         previous, limit = sys.get_int_max_str_digits(), 4300  # Python's default limit
         sys.set_int_max_str_digits(limit)

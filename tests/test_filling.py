@@ -9,7 +9,6 @@ from seifinv import (
     FillingSlope,
     IntMatrix2,
     UnsupportedSlopeError,
-    check_extends,
     extension_condition,
     is_involution,
     mat_det,
@@ -199,11 +198,11 @@ class TestExtensionCondition:
 
 class TestCheckExtends:
     def test_flip_block_matrices(self):
-        assert check_extends(IntMatrix2(-1, 1, 0, 1), FillingSlope(1, 2))
-        assert check_extends(IntMatrix2(-1, -2, 0, 1), FillingSlope(-1, 1))
+        assert IntMatrix2(-1, 1, 0, 1) in extension_condition(FillingSlope(1, 2))
+        assert IntMatrix2(-1, -2, 0, 1) in extension_condition(FillingSlope(-1, 1))
 
     def test_wrong_action_rejected(self):
-        assert not check_extends(IntMatrix2(1, 0, 0, -1), FillingSlope(1, 2))
+        assert IntMatrix2(1, 0, 0, -1) not in extension_condition(FillingSlope(1, 2))
 
 
 class TestV221BoundaryData:
@@ -222,7 +221,7 @@ class TestV221BoundaryData:
     def test_assignment_is_satisfying(self):
         report = verify_v221_construction()
         for A, slope in zip(report.matrices, report.assignment):
-            assert check_extends(A, slope)
+            assert A in extension_condition(slope)
 
 
 class TestVerifyConstruction:
