@@ -6,18 +6,42 @@ and invariants, admissibility and the geometry trichotomy, torus mapping
 class conjugacy, boundary extension conditions for Dehn fillings, the
 V(2,2;-1) involution data, the factorization census, and the orientable-
 base double cover.
+
+The six layer modules load on first use: importing the package registers
+each one with ``importlib.util.LazyLoader``, and a module body runs when one
+of its attributes is first read.  The public names are the union of the
+layers' ``__all__`` and are served from the layer that exports them.
 """
 
-from . import admissibility, census, filling, invariants, surfaces, torus_mcg
-from .admissibility import *  # noqa: F401,F403
-from .census import *  # noqa: F401,F403
-from .filling import *  # noqa: F401,F403
-from .invariants import *  # noqa: F401,F403
-from .surfaces import *  # noqa: F401,F403
-from .torus_mcg import *  # noqa: F401,F403
+import importlib.util
+import sys
 
-__all__ = sorted(
-    name
-    for module in (admissibility, census, filling, invariants, surfaces, torus_mcg)
-    for name in module.__all__
-)
+_LAYERS = ("invariants", "admissibility", "surfaces", "torus_mcg", "filling", "census")
+
+for _layer in _LAYERS:
+    _spec = importlib.util.find_spec(f"{__name__}.{_layer}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _module = importlib.util.module_from_spec(_spec)
+    sys.modules[_spec.name] = _module
+    _spec.loader.exec_module(_module)
+    globals()[_layer] = _module
+del _layer, _spec, _module
+
+
+def __getattr__(name: str):
+    if name == "__all__":
+        value = sorted(n for layer in _LAYERS for n in globals()[layer].__all__)
+    elif "." not in name and importlib.util.find_spec(f"{__name__}.{name}") is not None:
+        # A submodule not imported yet, probed by ``from seifinv import cli``:
+        # the import system imports it next, and no layer need load.
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        for layer in _LAYERS:
+            module = globals()[layer]
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

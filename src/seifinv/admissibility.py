@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .invariants import (
     BaseSurface,
@@ -39,15 +40,21 @@ class Violation(Enum):
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
+    """The verdict on a descriptor, with the normalized descriptor and the
+    two invariants it was derived from."""
+
     admissible: bool
     violations: tuple[Violation, ...]
     case_label: str | None
     geometry: GeometryType
+    normalized: SeifertInvariants
+    euler_number: Fraction
+    chi_orb: Fraction
 
 
-def _violations(N: SeifertInvariants) -> tuple[Violation, ...]:
+def _violations(N: SeifertInvariants, e: Fraction) -> tuple[Violation, ...]:
     out = []
-    if euler_number(N) != 0:
+    if e != 0:
         out.append(Violation.NONZERO_EULER)
     higher = any(q > 2 for q, _ in N.tally)
     if higher:
@@ -62,13 +69,12 @@ def _violations(N: SeifertInvariants) -> tuple[Violation, ...]:
     return tuple(out)
 
 
-def _case_and_geometry(N: SeifertInvariants) -> tuple[str, GeometryType]:
-    # N is normalized and admissible.  The sign of the orbifold Euler
-    # characteristic picks the major case and the geometry; (genus, n) picks
-    # the letter.
+def _case_and_geometry(N: SeifertInvariants, chi: Fraction) -> tuple[str, GeometryType]:
+    # N is normalized and admissible, chi is its orbifold Euler
+    # characteristic.  The sign of chi picks the major case and the
+    # geometry; (genus, n) picks the letter.
     g = N.base.genus
     n = len(N.pairs)
-    chi = orbifold_euler_characteristic(N)
     if chi > 0:
         return ("1a" if n == 0 else "1b"), GeometryType.S2xR
     if chi == 0:
@@ -81,11 +87,13 @@ def _case_and_geometry(N: SeifertInvariants) -> tuple[str, GeometryType]:
 def check_admissible(M: SeifertInvariants) -> AdmissibilityReport:
     """Evaluate all admissibility conditions on the normalized descriptor.
 
-    This is the one admissibility predicate: a single pass normalizes once
-    and derives the violations, the case label and the geometry from that
-    one normalized descriptor, with exact integer sums throughout.
-    Violations accumulate rather than short-circuit, so the report is
-    diagnostic.  Non-orientable bases are rejected: lift those to the
+    This is the one admissibility predicate: a single pass normalizes once,
+    computes ``e`` and ``chi_orb`` once, and derives the violations, the
+    case label and the geometry from them, with exact integer sums
+    throughout.  The report carries the normalized descriptor and both
+    invariants, so callers need not compute them again.  Violations
+    accumulate rather than short-circuit, so the report is diagnostic.
+    Non-orientable bases are rejected: lift those to the
     orientable double cover first (``census.lift_to_double_cover``).
     """
     if not M.base.orientable:
@@ -94,11 +102,12 @@ def check_admissible(M: SeifertInvariants) -> AdmissibilityReport:
             "(see lift_to_double_cover)"
         )
     N = normalize(M)
-    violations = _violations(N)
+    e, chi = euler_number(N), orbifold_euler_characteristic(N)
+    violations = _violations(N, e)
     if violations:
-        return AdmissibilityReport(False, violations, None, GeometryType.OTHER)
-    label, geom = _case_and_geometry(N)
-    return AdmissibilityReport(True, violations, label, geom)
+        return AdmissibilityReport(False, violations, None, GeometryType.OTHER, N, e, chi)
+    label, geom = _case_and_geometry(N, chi)
+    return AdmissibilityReport(True, violations, label, geom, N, e, chi)
 
 
 def exclude_fixed_point_free(M: SeifertInvariants) -> bool:

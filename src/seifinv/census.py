@@ -21,7 +21,6 @@ from .invariants import (
     BaseSurface,
     SeifertInvariants,
     euler_number,
-    normalize,
     orbifold_euler_characteristic,
 )
 from .surfaces import InvolutionKind, SurfaceInvolutionClass
@@ -75,12 +74,17 @@ class CensusReport:
         return len(self.records)
 
 
-def _require_admissible(M: SeifertInvariants) -> None:
-    """Refuse ``M`` unless it is admissible, naming every violation."""
-    report = check_admissible(M)
+def _require_admissible(
+    M: SeifertInvariants, report: AdmissibilityReport | None = None
+) -> AdmissibilityReport:
+    """Refuse ``M`` unless it is admissible, naming every violation; return
+    its admissibility report (``report``, when the caller has it already)."""
+    if report is None:
+        report = check_admissible(M)
     if not report.admissible:
         tags = ", ".join(v.value for v in report.violations)
         raise ValueError(f"{M} admits no reversing involution ({tags})")
+    return report
 
 
 def enumerate_factorizations(M: SeifertInvariants) -> CensusReport:
@@ -94,8 +98,7 @@ def enumerate_factorizations(M: SeifertInvariants) -> CensusReport:
     marked points are in scope and get the same six records; higher genus
     and larger censuses are refused rather than guessed.
     """
-    _require_admissible(M)
-    N = normalize(M)
+    N = _require_admissible(M).normalized
     if N.base.genus != 0:
         raise CensusScopeError("factorization census covers base genus 0 only")
     n = len(N.pairs)
@@ -120,16 +123,19 @@ def enumerate_factorizations(M: SeifertInvariants) -> CensusReport:
     return CensusReport(N, records)
 
 
-def fiber_flip_conjugacy_check(M: SeifertInvariants, trials: int) -> bool:
+def fiber_flip_conjugacy_check(
+    M: SeifertInvariants, trials: int, report: AdmissibilityReport | None = None
+) -> bool:
     """Validate the fiber-flip data of ``M``; inadmissible input is refused
     with its violations named.
 
     Every V(2,2;-1) block of the base-trivial fiber flip carries the same
     boundary data, so for ``trials >= 1`` the verdict is one run of the
     V(2,2;-1) validator, whatever the trial count.  ``trials < 1`` passes
-    vacuously.
+    vacuously.  A caller that already holds ``check_admissible(M)`` passes
+    it as ``report``, and admissibility is not decided a second time.
     """
-    _require_admissible(M)
+    _require_admissible(M, report)
     return trials < 1 or verify_v221_construction().passed
 
 
@@ -157,15 +163,12 @@ def lift_to_double_cover(M: SeifertInvariants) -> tuple[SeifertInvariants, Doubl
     cover_base = BaseSurface(M.base.genus - 1, True)
     cover_pairs = tuple(p for pair in M.pairs for p in (pair, pair))
     cover = SeifertInvariants(cover_base, cover_pairs, 2 * M.b)
-    e_in, e_cov = euler_number(M), euler_number(cover)
-    chi_in, chi_cov = orbifold_euler_characteristic(M), orbifold_euler_characteristic(cover)
+    # Normalizing preserves both invariants, so the cover's are read off its
+    # admissibility report.
+    adm = check_admissible(cover)
+    e_in, e_cov = euler_number(M), adm.euler_number
+    chi_in, chi_cov = orbifold_euler_characteristic(M), adm.chi_orb
     report = DoubleCoverReport(
-        e_in,
-        e_cov,
-        chi_in,
-        chi_cov,
-        e_cov == 2 * e_in,
-        chi_cov == 2 * chi_in,
-        check_admissible(cover),
+        e_in, e_cov, chi_in, chi_cov, e_cov == 2 * e_in, chi_cov == 2 * chi_in, adm
     )
     return cover, report

@@ -10,29 +10,13 @@ validation, vacuously true for ``--trials 0``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
 
-from .admissibility import check_admissible, enumerate_admissible
-from .census import (
-    enumerate_factorizations,
-    fiber_flip_conjugacy_check,
-    lift_to_double_cover,
-)
-from .filling import FillingSlope, extension_condition, verify_v221_construction
-from .invariants import (
-    SeifertParseError,
-    euler_number,
-    geometry,
-    normalize,
-    orbifold_euler_characteristic,
-    parse_seifert,
-    print_seifert,
-)
-from .surfaces import classes_for_genus, fixed_point_data
-from .torus_mcg import IntMatrix2, find_conjugator, involution_class
+# Every layer is reached through its module, which the package loads on first
+# attribute access, so a command runs only the layer bodies it reads.
+from . import admissibility, census, filling, invariants, surfaces, torus_mcg
 
 __all__ = ["CommandResult", "main", "run"]
 
@@ -48,11 +32,29 @@ class CommandResult:
 
 
 def _finish(args, payload: dict, text: str) -> CommandResult:
-    message = json.dumps(payload, indent=2) if getattr(args, "json", False) else text
-    return CommandResult("ok", payload, message, 0)
+    if args.json:
+        import json
+
+        text = json.dumps(payload, indent=2)
+    return CommandResult("ok", payload, text, 0)
 
 
-def _parse_matrix(text: str) -> IntMatrix2:
+def _printed(name: str, value) -> str:
+    """``str(value)``, refused by ``name`` when an integer in it is longer
+    than ``sys.get_int_max_str_digits()`` digits.
+
+    Parsed integers are capped by the parser; this covers the ones the
+    program computes from them, such as a normalized obstruction term.
+    """
+    try:
+        return str(value)
+    except ValueError:  # only int-to-str conversion past the digit limit raises here
+        raise ValueError(
+            f"cannot print {name}: integer longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
+def _parse_matrix(text: str) -> torus_mcg.IntMatrix2:
     rows = text.split(";")
     if len(rows) != 2:
         raise ValueError(f"matrix must be written 'a,b;c,d', got {text!r}")
@@ -66,10 +68,10 @@ def _parse_matrix(text: str) -> IntMatrix2:
                 entries.append(int(col.strip()))
             except ValueError:
                 raise ValueError(f"matrix entry {col.strip()!r} is not an integer") from None
-    return IntMatrix2(*entries)
+    return torus_mcg.IntMatrix2(*entries)
 
 
-def _parse_slope(text: str) -> FillingSlope:
+def _parse_slope(text: str) -> filling.FillingSlope:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"slope must be written 'm,l', got {text!r}")
@@ -77,7 +79,7 @@ def _parse_slope(text: str) -> FillingSlope:
         m, l = (int(p.strip()) for p in parts)
     except ValueError:
         raise ValueError(f"slope must be a pair of integers, got {text!r}") from None
-    return FillingSlope(m, l)
+    return filling.FillingSlope(m, l)
 
 
 def _default_seed() -> int:
@@ -89,30 +91,33 @@ def _default_seed() -> int:
 
 
 def _cmd_classify(args) -> CommandResult:
-    N = normalize(parse_seifert(args.descriptor))
-    e = euler_number(N)
-    chi = orbifold_euler_characteristic(N)
-    if N.base.orientable:
-        report = check_admissible(N)
+    M = invariants.parse_seifert(args.descriptor)
+    if M.base.orientable:
+        report = admissibility.check_admissible(M)
+        N, e, chi = report.normalized, report.euler_number, report.chi_orb
         geom, case = report.geometry, report.case_label
     else:
-        geom, case = geometry(N), None
+        N = invariants.normalize(M)
+        e, chi = invariants.euler_number(N), invariants.orbifold_euler_characteristic(N)
+        geom, case = invariants.geometry(N), None
+    normalized = _printed("the normalized descriptor", N)
+    e, chi = _printed("euler_number", e), _printed("chi_orb", chi)
     payload = {
         "schema": SCHEMA,
         "input": args.descriptor,
-        "normalized": print_seifert(N),
-        "euler_number": str(e),
-        "chi_orb": str(chi),
+        "normalized": normalized,
+        "euler_number": e,
+        "chi_orb": chi,
         "geometry": geom.value,
         "case": case,
     }
-    text = f"{print_seifert(N)}  e={e}  chi_orb={chi}  geometry={geom.value}  case={case or '-'}"
+    text = f"{normalized}  e={e}  chi_orb={chi}  geometry={geom.value}  case={case or '-'}"
     return _finish(args, payload, text)
 
 
 def _cmd_admissible(args) -> CommandResult:
-    M = parse_seifert(args.descriptor)
-    report = check_admissible(M)
+    M = invariants.parse_seifert(args.descriptor)
+    report = admissibility.check_admissible(M)
     payload = {
         "schema": SCHEMA,
         "input": args.descriptor,
@@ -130,11 +135,11 @@ def _cmd_admissible(args) -> CommandResult:
 
 def _cmd_enumerate(args) -> CommandResult:
     rows = []
-    for M in enumerate_admissible(args.gmax, args.nmax):
-        report = check_admissible(M)
+    for M in admissibility.enumerate_admissible(args.gmax, args.nmax):
+        report = admissibility.check_admissible(M)
         rows.append(
             {
-                "descriptor": print_seifert(M),
+                "descriptor": invariants.print_seifert(M),
                 "case": report.case_label,
                 "geometry": report.geometry.value,
             }
@@ -148,7 +153,7 @@ def _cmd_enumerate(args) -> CommandResult:
 
 def _cmd_mcg_class(args) -> CommandResult:
     A = _parse_matrix(args.matrix)
-    label = involution_class(A)
+    label = torus_mcg.involution_class(A)
     payload = {"schema": SCHEMA, "matrix": str(A), "class": label.value}
     return _finish(args, payload, label.value)
 
@@ -156,7 +161,7 @@ def _cmd_mcg_class(args) -> CommandResult:
 def _cmd_mcg_conjugate(args) -> CommandResult:
     A = _parse_matrix(args.matrix_a)
     B = _parse_matrix(args.matrix_b)
-    H = find_conjugator(A, B, args.bound)
+    H = torus_mcg.find_conjugator(A, B, args.bound)
     payload = {
         "schema": SCHEMA,
         "matrix_a": str(A),
@@ -173,27 +178,27 @@ def _cmd_mcg_conjugate(args) -> CommandResult:
     return _finish(args, payload, text)
 
 
-def _sorted_matrices(mats) -> list[IntMatrix2]:
+def _sorted_matrices(mats) -> list[torus_mcg.IntMatrix2]:
     return sorted(mats, key=lambda A: (A.a, A.b, A.c, A.d))
 
 
 def _cmd_extend(args) -> CommandResult:
     slope = _parse_slope(args.slope)
     A = _parse_matrix(args.matrix)
-    condition = _sorted_matrices(extension_condition(slope))
+    condition = _sorted_matrices(filling.extension_condition(slope))
     extends = A in condition
     payload = {
         "schema": SCHEMA,
         "slope": str(slope),
         "matrix": str(A),
         "extends": extends,
-        "condition": [str(C) for C in condition],
+        "condition": [_printed("the extension condition", C) for C in condition],
     }
     return _finish(args, payload, f"extends: {'true' if extends else 'false'}")
 
 
 def _cmd_verify_v221(args) -> CommandResult:
-    report = verify_v221_construction()
+    report = filling.verify_v221_construction()
     payload = {
         "schema": SCHEMA,
         "matrices": [str(A) for A in report.matrices],
@@ -204,10 +209,10 @@ def _cmd_verify_v221(args) -> CommandResult:
     }
     lines = []
     for i, A in enumerate(report.matrices):
-        filling = str(report.assignment[i]) if report.assignment else "-"
+        slope = str(report.assignment[i]) if report.assignment else "-"
         lines.append(
             f"matrix {A}: involution={'yes' if report.involution_ok[i] else 'no'} "
-            f"filling={filling} extends={'yes' if report.extends_ok[i] else 'no'}"
+            f"filling={slope} extends={'yes' if report.extends_ok[i] else 'no'}"
         )
     lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
     return _finish(args, payload, "\n".join(lines))
@@ -227,11 +232,11 @@ def _fixed_point_text(data) -> str:
 
 
 def _cmd_surface_classes(args) -> CommandResult:
-    classes = classes_for_genus(args.genus, args.filter)
+    classes = surfaces.classes_for_genus(args.genus, args.filter)
     rows = []
     lines = []
     for c in classes:
-        data = fixed_point_data(c)
+        data = surfaces.fixed_point_data(c)
         rows.append(
             {
                 "name": str(c),
@@ -254,8 +259,8 @@ def _cmd_surface_classes(args) -> CommandResult:
 
 
 def _cmd_census(args) -> CommandResult:
-    M = parse_seifert(args.descriptor)
-    report = enumerate_factorizations(M)
+    M = invariants.parse_seifert(args.descriptor)
+    report = census.enumerate_factorizations(M)
     rows = [
         {
             "fiber_orientation": rec.fiber_orientation,
@@ -266,7 +271,7 @@ def _cmd_census(args) -> CommandResult:
     ]
     payload = {
         "schema": SCHEMA,
-        "manifold": print_seifert(report.manifold),
+        "manifold": invariants.print_seifert(report.manifold),
         "count": report.count,
         "records": rows,
     }
@@ -279,33 +284,28 @@ def _cmd_census(args) -> CommandResult:
 
 
 def _cmd_lift(args) -> CommandResult:
-    M = parse_seifert(args.descriptor)
-    cover, report = lift_to_double_cover(M)
+    M = invariants.parse_seifert(args.descriptor)
+    cover, report = census.lift_to_double_cover(M)
     adm = report.cover_admissibility
+    cover_text = _printed("the cover", cover)
+    e_in = _printed("euler_number", report.euler_input)
+    e_cov = _printed("euler_number", report.euler_cover)
+    chi_in = _printed("chi_orb", report.chi_orb_input)
+    chi_cov = _printed("chi_orb", report.chi_orb_cover)
     payload = {
         "schema": SCHEMA,
         "input": args.descriptor,
-        "cover": print_seifert(cover),
-        "euler_number": {
-            "input": str(report.euler_input),
-            "cover": str(report.euler_cover),
-            "doubled": report.euler_doubled,
-        },
-        "chi_orb": {
-            "input": str(report.chi_orb_input),
-            "cover": str(report.chi_orb_cover),
-            "doubled": report.chi_orb_doubled,
-        },
+        "cover": cover_text,
+        "euler_number": {"input": e_in, "cover": e_cov, "doubled": report.euler_doubled},
+        "chi_orb": {"input": chi_in, "cover": chi_cov, "doubled": report.chi_orb_doubled},
         "cover_admissible": adm.admissible,
         "cover_violations": [v.value for v in adm.violations],
         "cover_case": adm.case_label,
     }
     lines = [
-        f"cover: {print_seifert(cover)}",
-        f"euler_number: {report.euler_input} -> {report.euler_cover} "
-        f"(doubled: {'yes' if report.euler_doubled else 'no'})",
-        f"chi_orb: {report.chi_orb_input} -> {report.chi_orb_cover} "
-        f"(doubled: {'yes' if report.chi_orb_doubled else 'no'})",
+        f"cover: {cover_text}",
+        f"euler_number: {e_in} -> {e_cov} (doubled: {'yes' if report.euler_doubled else 'no'})",
+        f"chi_orb: {chi_in} -> {chi_cov} (doubled: {'yes' if report.chi_orb_doubled else 'no'})",
         (
             f"cover admissible: yes  case={adm.case_label}"
             if adm.admissible
@@ -318,12 +318,13 @@ def _cmd_lift(args) -> CommandResult:
 def _cmd_psi_check(args) -> CommandResult:
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")
-    M = parse_seifert(args.descriptor)
+    M = invariants.parse_seifert(args.descriptor)
     seed = args.seed if args.seed is not None else _default_seed()
-    passed = fiber_flip_conjugacy_check(M, args.trials)
+    report = admissibility.check_admissible(M)
+    passed = census.fiber_flip_conjugacy_check(M, args.trials, report)
     payload = {
         "schema": SCHEMA,
-        "manifold": print_seifert(normalize(M)),
+        "manifold": invariants.print_seifert(report.normalized),
         "trials": args.trials,
         "seed": seed,
         "passed": passed,
@@ -420,9 +421,7 @@ def run(argv: list[str]) -> CommandResult:
         return CommandResult("error", None, "usage error", 2)
     try:
         return args.handler(args)
-    except SeifertParseError as exc:
-        return CommandResult("error", None, str(exc), 1)
-    except ValueError as exc:
+    except ValueError as exc:  # SeifertParseError included
         return CommandResult("error", None, str(exc), 1)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from seifinv import cli, filling
+from seifinv import admissibility, census, cli, filling, invariants
 from seifinv.cli import run
 
 
@@ -61,6 +61,98 @@ class TestClassify:
     def test_json_output_is_valid_json(self):
         result = run(["classify", "(1,o1|)", "--json"])
         assert json.loads(result.message)["geometry"] == "E3"
+
+
+LIMIT = 4300  # Python's default int/str digit limit
+HALF_BELOW = "4" + "9" * (LIMIT - 1)  # 5 * 10**(LIMIT - 1) - 1, LIMIT digits
+HALF = "5" + "0" * (LIMIT - 1)  # 5 * 10**(LIMIT - 1), LIMIT digits
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int/str digit limit"
+)
+class TestComputedIntegerDigitLimit:
+    """Parsed integers fit the limit; a value computed from them that does
+    not is refused by name.  Sums of two halves land on LIMIT digits exactly
+    (10**LIMIT - 1 or 10**LIMIT - 2) or one past it (10**LIMIT)."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(LIMIT)
+        yield
+        sys.set_int_max_str_digits(previous)
+
+    @pytest.mark.parametrize(
+        "at_limit, expected",
+        [
+            (
+                ["classify", f"(0,o1|(1,{HALF_BELOW}),(1,{HALF}))"],
+                f"(0,o1|(1,{'9' * LIMIT}))  e=-{'9' * LIMIT}  chi_orb=2  geometry=Other  case=-",
+            ),
+            (["lift", f"(1,n1|(1,{HALF_BELOW}))"], f"cover: (0,o1|(1,{'9' * (LIMIT - 1)}8))"),
+            (["extend", f"--slope={HALF_BELOW},1", "--matrix=1,0;0,-1"], "extends: false"),
+        ],
+        ids=["classify", "lift", "extend"],
+    )
+    def test_at_the_limit_prints(self, at_limit, expected):
+        result = run(at_limit)
+        assert (result.status, result.exit_code) == ("ok", 0)
+        assert result.message.splitlines()[0] == expected
+
+    def test_extension_condition_at_the_limit(self):
+        payload = payload_of(["extend", f"--slope={HALF_BELOW},1", "--matrix=1,0;0,-1", "--json"])
+        assert f"1,-{'9' * (LIMIT - 1)}8;0,-1" in payload["condition"]
+
+    @pytest.mark.parametrize(
+        "past, name",
+        [
+            (["classify", f"(0,o1|(1,{HALF}),(1,{HALF}))"], "the normalized descriptor"),
+            (["lift", f"(1,n1|(1,{HALF}))"], "the cover"),
+            (["extend", f"--slope={HALF},1", "--matrix=1,0;0,-1"], "the extension condition"),
+        ],
+        ids=["classify", "lift", "extend"],
+    )
+    def test_one_digit_past_is_refused_by_name(self, past, name):
+        result = run(past)
+        assert (result.status, result.exit_code) == ("error", 1)
+        assert result.message == f"cannot print {name}: integer longer than {LIMIT} digits"
+
+
+class TestInvariantsDerivedOnce:
+    """classify, psi-check and census normalize the descriptor and compute
+    ``e`` and ``chi_orb`` once each; later steps read the admissibility
+    report."""
+
+    COUNTED = ("normalize", "euler_number", "orbifold_euler_characteristic")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "(0,o1|(2,1),(2,1),(1,-1))"],
+            ["classify", "(0,o1|(2,3),(3,1),(1,4),(1,-1))", "--json"],
+            ["classify", "(2,n1|(2,1),(1,-1))"],
+            ["psi-check", "(0,o1|(2,1),(2,1),(2,1),(2,1),(1,-2))"],
+            ["psi-check", "(0,o1|(2,-1),(2,3),(1,-1))", "--json"],
+            ["psi-check", "(0,o1|(2,1),(2,1))"],
+            ["census", "(0,o1|(2,1),(2,1),(2,1),(2,1),(1,-2))"],
+            ["census", "(0,o1|(2,3),(2,-1),(1,-1))", "--json"],
+        ],
+    )
+    def test_one_call_each(self, argv, monkeypatch):
+        calls = dict.fromkeys(self.COUNTED, 0)
+        for name in self.COUNTED:
+            original = getattr(invariants, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in (invariants, admissibility, census, cli):
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, counted)
+        run(argv)
+        assert calls == dict.fromkeys(self.COUNTED, 1), argv
 
 
 class TestUsageErrors:
@@ -156,8 +248,7 @@ class TestExtend:
             calls.append(slope)
             return original(slope)
 
-        for module in (cli, filling):
-            monkeypatch.setattr(module, "extension_condition", counted)
+        monkeypatch.setattr(filling, "extension_condition", counted)
         for argv in (
             ["extend", "--slope", "1,2", "--matrix=-1,1;0,1"],
             ["extend", "--slope", "1,2", "--matrix", "1,0;0,-1", "--json"],

@@ -1,0 +1,106 @@
+"""The package loads its layer modules lazily: a process runs only the layer
+bodies its command reads, and the public API is the same as an eager import.
+
+A layer's body has run once its namespace holds ``__all__``; the check reads
+the module's ``__dict__`` without the attribute access that would load it.
+Each case runs in a fresh interpreter, because this test process has
+imported every layer already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import seifinv
+from seifinv import admissibility, census, filling, invariants, surfaces, torus_mcg
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+LAYERS = (admissibility, census, filling, invariants, surfaces, torus_mcg)
+
+# The public names of the package, as the eager star-imports exported them.
+PUBLIC = [
+    "AdmissibilityReport", "BaseSurface", "CensusReport", "CensusScopeError", "ClassCount",
+    "ConstructionReport", "DoubleCoverReport", "ExtensionConstraint", "FactorizationRecord",
+    "FillingSlope", "FixedPointData", "GeometryType", "IDENTITY", "IntMatrix2",
+    "InvolutionClassLabel", "InvolutionKind", "SeifertInvariants", "SeifertParseError",
+    "SurfaceInvolutionClass", "UnsupportedSlopeError", "Violation", "check_admissible",
+    "classes_for_genus", "count_classes", "enumerate_admissible", "enumerate_factorizations",
+    "euler_number", "exclude_fixed_point_free", "extension_condition",
+    "fiber_flip_conjugacy_check", "find_conjugator", "fixed_point_data", "geometry",
+    "induced_torus_action", "involution_class", "is_involution", "lift_to_double_cover",
+    "mat_det", "mat_inv", "mat_mul", "normalize", "orbifold_euler_characteristic",
+    "parse_seifert", "print_seifert", "solve_boundary_involutions", "usable_for_census",
+    "verify_v221_construction",
+]
+
+EXECUTED = """
+import sys
+executed = sorted(
+    name.split(".", 1)[1]
+    for name, module in sys.modules.items()
+    if name.startswith("seifinv.") and name != "seifinv.cli"
+    and "__all__" in object.__getattribute__(module, "__dict__")
+)
+print(" ".join(executed))
+"""
+
+
+def _python(*args):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    env.pop("SEIFERT_SEED", None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _layers_executed(code: str) -> list[str]:
+    proc = _python("-c", code + EXECUTED)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("statement", ["import seifinv.cli", "from seifinv import cli"])
+def test_importing_the_cli_executes_no_layer(statement):
+    assert _layers_executed(statement) == []
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["mcg", "class", "1,0;0,-1"], ["torus_mcg"]),
+        (["classify", "(0,o1|(2,1),(2,1),(1,-1))"], ["admissibility", "invariants"]),
+    ],
+    ids=["mcg-class", "classify"],
+)
+def test_a_command_executes_only_the_layers_it_reads(argv, layers):
+    code = f"import seifinv.cli\nassert seifinv.cli.run({argv!r}).exit_code == 0\n"
+    assert _layers_executed(code) == layers
+
+
+def test_public_names_are_unchanged():
+    assert seifinv.__all__ == PUBLIC
+    namespace = {}
+    exec("from seifinv import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+
+
+def test_every_public_name_resolves_to_its_layer_object():
+    for name in seifinv.__all__:
+        (owner,) = [layer for layer in LAYERS if name in layer.__all__]
+        assert getattr(seifinv, name) is getattr(owner, name), name
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "no.such_name"])
+def test_unknown_attribute_raises(name):
+    with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+        getattr(seifinv, name)
+
+
+def test_module_entry_point_runs():
+    proc = _python("-m", "seifinv", "mcg", "class", "1,0;0,-1", "--json")
+    assert proc.returncode == 0, proc.stderr
+    expected = seifinv.involution_class(seifinv.IntMatrix2(1, 0, 0, -1)).value
+    assert json.loads(proc.stdout)["class"] == expected
