@@ -15,15 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import filling, surfaces
 from .admissibility import AdmissibilityReport, check_admissible
-from .filling import verify_v221_construction
 from .invariants import (
     BaseSurface,
     SeifertInvariants,
     euler_number,
     orbifold_euler_characteristic,
 )
-from .surfaces import InvolutionKind, SurfaceInvolutionClass
 
 __all__ = [
     "CensusReport",
@@ -54,7 +53,7 @@ class FactorizationRecord:
     """
 
     fiber_orientation: str
-    surface_class: SurfaceInvolutionClass
+    surface_class: surfaces.SurfaceInvolutionClass
     fixed_boundary_count: int
 
     def __post_init__(self):
@@ -111,9 +110,9 @@ def enumerate_factorizations(M: SeifertInvariants) -> CensusReport:
             "marked-point case analysis covers two or four order-2 fibers only"
         )
     factor_classes = (
-        (PRESERVED, SurfaceInvolutionClass(InvolutionKind.SPIT, 0, 0)),
-        (REVERSED, SurfaceInvolutionClass(InvolutionKind.REFL, 0, 0)),
-        (REVERSED, SurfaceInvolutionClass(InvolutionKind.ANTI, 0, 0)),
+        (PRESERVED, surfaces.SurfaceInvolutionClass(surfaces.InvolutionKind.SPIT, 0, 0)),
+        (REVERSED, surfaces.SurfaceInvolutionClass(surfaces.InvolutionKind.REFL, 0, 0)),
+        (REVERSED, surfaces.SurfaceInvolutionClass(surfaces.InvolutionKind.ANTI, 0, 0)),
     )
     records = tuple(
         FactorizationRecord(orientation, cls, fixed)
@@ -136,7 +135,7 @@ def fiber_flip_conjugacy_check(
     it as ``report``, and admissibility is not decided a second time.
     """
     _require_admissible(M, report)
-    return trials < 1 or verify_v221_construction().passed
+    return trials < 1 or filling.verify_v221_construction().passed
 
 
 @dataclass(frozen=True)

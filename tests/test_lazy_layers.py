@@ -72,8 +72,17 @@ def test_importing_the_cli_executes_no_layer(statement):
     [
         (["mcg", "class", "1,0;0,-1"], ["torus_mcg"]),
         (["classify", "(0,o1|(2,1),(2,1),(1,-1))"], ["admissibility", "invariants"]),
+        (["lift", "(2,n1|)"], ["admissibility", "census", "invariants"]),
+        (
+            ["census", "(0,o1|(2,1),(2,1),(1,-1))"],
+            ["admissibility", "census", "invariants", "surfaces", "torus_mcg"],
+        ),
+        (
+            ["psi-check", "(0,o1|(2,1),(2,1),(1,-1))"],
+            ["admissibility", "census", "filling", "invariants", "torus_mcg"],
+        ),
     ],
-    ids=["mcg-class", "classify"],
+    ids=["mcg-class", "classify", "lift", "census", "psi-check"],
 )
 def test_a_command_executes_only_the_layers_it_reads(argv, layers):
     code = f"import seifinv.cli\nassert seifinv.cli.run({argv!r}).exit_code == 0\n"

@@ -11,6 +11,7 @@ from seifinv import (
     mat_inv,
     mat_mul,
 )
+from seifinv.torus_mcg import MAX_BOUND, _unimodular_entries
 
 SWAP = IntMatrix2(0, 1, 1, 0)
 MINUS_I = IntMatrix2(-1, 0, 0, -1)
@@ -124,6 +125,32 @@ class TestFindConjugator:
                 same_class = involution_class(A) == involution_class(B)
                 assert (find_conjugator(A, B, 5) is not None) == same_class
 
+    def test_first_hit_is_the_brute_force_first_hit(self):
+        involutions = involutions_in_window(2)
+        for bound in (1, 2, 3):
+            window = [H for H in window_matrices(bound) if abs(mat_det(H)) == 1]
+            for A in involutions:
+                for B in involutions:
+                    if A == B:
+                        expected = IDENTITY
+                    else:
+                        expected = next(
+                            (H for H in window if mat_mul(H, A) == mat_mul(B, H)), None
+                        )
+                    assert find_conjugator(A, B, bound) == expected, (A, B, bound)
+
     def test_rejects_bad_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bound must be a positive integer$"):
             find_conjugator(IDENTITY, IDENTITY, 0)
+
+    def test_bound_cap(self):
+        assert MAX_BOUND == 32
+        assert find_conjugator(IntMatrix2(1, 0, 0, -1), SWAP, MAX_BOUND) is None
+        with pytest.raises(ValueError, match="^bound must be at most 32, got 33$"):
+            find_conjugator(IDENTITY, IDENTITY, MAX_BOUND + 1)
+
+
+@pytest.mark.parametrize("bound", range(1, 9))
+def test_window_is_the_brute_force_window(bound):
+    window = [H for H in window_matrices(bound) if abs(mat_det(H)) == 1]
+    assert _unimodular_entries(bound) == tuple((H.a, H.b, H.c, H.d) for H in window)
