@@ -9,9 +9,9 @@ orbifold Euler characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .invariants import (
     BaseSurface,
@@ -38,8 +38,7 @@ class Violation(Enum):
     WRONG_B_TERM = "WrongBTerm"
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """The verdict on a descriptor, with the normalized descriptor and the
     two invariants it was derived from."""
 
@@ -121,13 +120,27 @@ def exclude_fixed_point_free(M: SeifertInvariants) -> bool:
     return not is_product
 
 
+# Largest window enumerate_admissible accepts: 51 genera times 51 even fiber
+# counts, 2,601 descriptors of up to 100 fibers each.  The benchmark's largest
+# window is 20 x 60.
+MAX_GMAX = 50
+MAX_NMAX = 100
+
+
 def enumerate_admissible(g_max: int, n_max: int) -> list[SeifertInvariants]:
     """All normalized admissible descriptors with genus <= g_max and n <= n_max.
 
     Ordered lexicographically by (genus, n) so output is reproducible.
+    ``g_max`` runs from 0 to ``MAX_GMAX`` (50) and ``n_max`` from 0 to
+    ``MAX_NMAX`` (100); any other value is refused with ``ValueError``
+    before a descriptor is built.
     """
     if g_max < 0 or n_max < 0:
         raise ValueError("enumeration bounds must be non-negative")
+    if g_max > MAX_GMAX:
+        raise ValueError(f"gmax must be at most {MAX_GMAX}, got {g_max}")
+    if n_max > MAX_NMAX:
+        raise ValueError(f"nmax must be at most {MAX_NMAX}, got {n_max}")
     out = []
     for g in range(g_max + 1):
         for n in range(0, n_max + 1, 2):

@@ -12,8 +12,8 @@ double cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import filling, surfaces
 from .admissibility import AdmissibilityReport, check_admissible
@@ -42,8 +42,13 @@ class CensusScopeError(ValueError):
     """Inputs whose census is not derivable from the worked case analysis."""
 
 
-@dataclass(frozen=True)
-class FactorizationRecord:
+class _RecordFields(NamedTuple):
+    fiber_orientation: str
+    surface_class: surfaces.SurfaceInvolutionClass
+    fixed_boundary_count: int
+
+
+class FactorizationRecord(_RecordFields):
     """One conjugacy case of the orientation-preserving factor.
 
     ``fiber_orientation`` records whether the factor preserves or reverses
@@ -52,19 +57,22 @@ class FactorizationRecord:
     many of the marked order-2 points it fixes.
     """
 
-    fiber_orientation: str
-    surface_class: surfaces.SurfaceInvolutionClass
-    fixed_boundary_count: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.fiber_orientation not in (PRESERVED, REVERSED):
-            raise ValueError(f"unknown fiber orientation {self.fiber_orientation!r}")
-        if self.fixed_boundary_count < 0:
+    def __new__(
+        cls,
+        fiber_orientation: str,
+        surface_class: surfaces.SurfaceInvolutionClass,
+        fixed_boundary_count: int,
+    ):
+        if fiber_orientation not in (PRESERVED, REVERSED):
+            raise ValueError(f"unknown fiber orientation {fiber_orientation!r}")
+        if fixed_boundary_count < 0:
             raise ValueError("fixed boundary count must be non-negative")
+        return super().__new__(cls, fiber_orientation, surface_class, fixed_boundary_count)
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     manifold: SeifertInvariants
     records: tuple[FactorizationRecord, ...]
 
@@ -138,8 +146,7 @@ def fiber_flip_conjugacy_check(
     return trials < 1 or filling.verify_v221_construction().passed
 
 
-@dataclass(frozen=True)
-class DoubleCoverReport:
+class DoubleCoverReport(NamedTuple):
     euler_input: Fraction
     euler_cover: Fraction
     chi_orb_input: Fraction

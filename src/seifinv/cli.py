@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Every layer is reached through its module, which the package loads on first
 # attribute access, so a command runs only the layer bodies it reads.
@@ -23,8 +23,7 @@ __all__ = ["CommandResult", "main", "run"]
 SCHEMA = "1"
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(NamedTuple):
     status: str  # "ok" or "error"
     payload: object | None
     message: str
@@ -352,8 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_admissible)
 
     p = sub.add_parser("enumerate", help="admissible descriptors in a bounded window")
-    p.add_argument("--gmax", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--gmax", type=int, required=True, help="largest base genus, 0 to 50")
+    p.add_argument("--nmax", type=int, required=True, help="largest fiber count, 0 to 100")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_enumerate)
 

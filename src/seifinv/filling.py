@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .torus_mcg import IntMatrix2, is_involution, mat_det
 
@@ -45,41 +45,48 @@ class UnsupportedSlopeError(ValueError):
     """Raised for slopes outside the two families with derived conditions."""
 
 
-@dataclass(frozen=True)
-class FillingSlope:
+class _SlopeFields(NamedTuple):
+    m: int
+    l: int
+
+
+class FillingSlope(_SlopeFields):
     """Coprime pair (m, l); (m, l) and (-m, -l) name the same filling.
 
     Stored with l >= 0, and m > 0 when l = 0.
     """
 
-    m: int
-    l: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.m, self.l) == (0, 0):
+    def __new__(cls, m: int, l: int):
+        if (m, l) == (0, 0):
             raise ValueError("slope (0,0) does not name a curve")
-        if math.gcd(self.m, self.l) != 1:
-            raise ValueError(f"slope ({self.m},{self.l}) is not primitive")
-        if self.l < 0 or (self.l == 0 and self.m < 0):
-            object.__setattr__(self, "m", -self.m)
-            object.__setattr__(self, "l", -self.l)
+        if math.gcd(m, l) != 1:
+            raise ValueError(f"slope ({m},{l}) is not primitive")
+        if l < 0 or (l == 0 and m < 0):
+            m, l = -m, -l
+        return super().__new__(cls, m, l)
 
     def __str__(self) -> str:
         return f"({self.m},{self.l})"
 
 
-@dataclass(frozen=True)
-class ExtensionConstraint:
-    """Primitive vectors: v_fix is preserved up to a global sign eps, v_flip
-    is negated up to the same eps."""
-
+class _ConstraintFields(NamedTuple):
     v_fix: Vec2
     v_flip: Vec2
 
-    def __post_init__(self):
-        for v in (self.v_fix, self.v_flip):
+
+class ExtensionConstraint(_ConstraintFields):
+    """Primitive vectors: v_fix is preserved up to a global sign eps, v_flip
+    is negated up to the same eps."""
+
+    __slots__ = ()
+
+    def __new__(cls, v_fix: Vec2, v_flip: Vec2):
+        for v in (v_fix, v_flip):
             if v == (0, 0) or math.gcd(v[0], v[1]) != 1:
                 raise ValueError(f"constraint vector {v} must be primitive")
+        return super().__new__(cls, v_fix, v_flip)
 
 
 def solve_boundary_involutions(constraint: ExtensionConstraint) -> frozenset[IntMatrix2]:
@@ -155,8 +162,7 @@ def _induced_outer_action(inner: tuple[IntMatrix2, ...]) -> IntMatrix2 | None:
     return IntMatrix2(a, -sum(A.b for A in inner), 0, d)
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(NamedTuple):
     """Pass/fail detail for the V(2,2;-1) involution verification."""
 
     matrices: tuple[IntMatrix2, ...]

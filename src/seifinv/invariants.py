@@ -25,9 +25,9 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "BaseSurface",
@@ -64,16 +64,22 @@ class SeifertParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class BaseSurface:
+# A NamedTuple body may not define __new__, so each record that checks its
+# fields does so in a thin subclass of its NamedTuple.
+class _BaseSurfaceFields(NamedTuple):
     genus: int
-    orientable: bool = True
+    orientable: bool
 
-    def __post_init__(self):
-        if self.genus < 0:
+
+class BaseSurface(_BaseSurfaceFields):
+    __slots__ = ()
+
+    def __new__(cls, genus: int, orientable: bool = True):
+        if genus < 0:
             raise ValueError("genus must be non-negative")
-        if not self.orientable and self.genus == 0:
+        if not orientable and genus == 0:
             raise ValueError("non-orientable base surface needs genus >= 1")
+        return super().__new__(cls, genus, orientable)
 
     def euler_characteristic(self) -> int:
         if self.orientable:
@@ -81,30 +87,34 @@ class BaseSurface:
         return 2 - self.genus
 
 
-@dataclass(frozen=True)
-class SeifertInvariants:
+class _SeifertFields(NamedTuple):
+    base: BaseSurface
+    pairs: tuple[tuple[int, int], ...]
+    b: int
+
+
+class SeifertInvariants(_SeifertFields):
     """Descriptor (g, o1 | (q1,p1), ..., (1,b)) with exact integer data.
 
     ``tally`` maps each distinct pair to its multiplicity, in first-seen
     order; the invariants are computed from it, once per distinct pair.  It
-    is derived from ``pairs``, takes no part in equality, hashing or repr,
-    and must not be mutated.
+    is derived from ``pairs`` and kept outside the tuple, so it takes no part
+    in equality, hashing or repr, and must not be mutated.
     """
 
-    base: BaseSurface
-    pairs: tuple[tuple[int, int], ...] = ()
-    b: int = 0
-    tally: Counter = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pairs, tally = _int_pairs(self.pairs)
+    def __new__(cls, base: BaseSurface, pairs=(), b: int = 0):
+        pairs, tally = _int_pairs(pairs)
         for q, p in tally:
             if q < 1:
                 raise ValueError(f"fiber order must be positive in ({q},{p})")
             if math.gcd(p, q) != 1:
                 raise ValueError(f"non-coprime pair ({q},{p})")
-        object.__setattr__(self, "pairs", pairs)
+        self = super().__new__(cls, base, pairs, b)
         object.__setattr__(self, "tally", tally)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to attribute {name!r}")
 
     def __str__(self) -> str:
         return print_seifert(self)

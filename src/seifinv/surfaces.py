@@ -8,11 +8,10 @@ That is 4 + 2g classes in all, of which 2 + ceil(g/2) preserve orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .torus_mcg import InvolutionClassLabel
+from . import torus_mcg
 
 __all__ = [
     "ClassCount",
@@ -38,24 +37,27 @@ class InvolutionKind(Enum):
 _PRESERVING = (InvolutionKind.ID, InvolutionKind.SPIT, InvolutionKind.ROT)
 
 
-@dataclass(frozen=True)
-class SurfaceInvolutionClass:
+class _SurfaceInvolutionFields(NamedTuple):
     kind: InvolutionKind
     g: int
-    r: int = 0
+    r: int
 
-    def __post_init__(self):
-        if self.g < 0 or self.r < 0:
+
+class SurfaceInvolutionClass(_SurfaceInvolutionFields):
+    __slots__ = ()
+
+    def __new__(cls, kind: InvolutionKind, g: int, r: int = 0):
+        if g < 0 or r < 0:
             raise ValueError("genus and r must be non-negative")
-        k = self.kind
-        if k in (InvolutionKind.ID, InvolutionKind.ROT) and self.r != 0:
-            raise ValueError(f"{k.value} takes no r parameter")
-        if k is InvolutionKind.ROT and self.g % 2 == 0:
+        if kind in (InvolutionKind.ID, InvolutionKind.ROT) and r != 0:
+            raise ValueError(f"{kind.value} takes no r parameter")
+        if kind is InvolutionKind.ROT and g % 2 == 0:
             raise ValueError("rot exists only for odd genus")
-        if k in (InvolutionKind.SPIT, InvolutionKind.REFL) and self.r > self.g // 2:
-            raise ValueError(f"{k.value} needs r <= g/2")
-        if k is InvolutionKind.ANTI and self.r > self.g:
+        if kind in (InvolutionKind.SPIT, InvolutionKind.REFL) and r > g // 2:
+            raise ValueError(f"{kind.value} needs r <= g/2")
+        if kind is InvolutionKind.ANTI and r > g:
             raise ValueError("anti needs r <= g")
+        return super().__new__(cls, kind, g, r)
 
     @property
     def orientation_preserving(self) -> bool:
@@ -67,8 +69,7 @@ class SurfaceInvolutionClass:
         return f"{self.kind.value}({self.g},{self.r})"
 
 
-@dataclass(frozen=True)
-class FixedPointData:
+class FixedPointData(NamedTuple):
     """Fixed-point set: isolated points, circles, or the whole surface (id)."""
 
     isolated_points: int = 0
@@ -136,7 +137,7 @@ def fixed_point_data(c: SurfaceInvolutionClass) -> FixedPointData:
     return FixedPointData(circles=c.r)
 
 
-def induced_torus_action(c: SurfaceInvolutionClass) -> InvolutionClassLabel:
+def induced_torus_action(c: SurfaceInvolutionClass) -> torus_mcg.InvolutionClassLabel:
     """Homology action of a genus-1 orientation-reversing class.
 
     refl(1,0) and anti(1,0) act as diag(1,-1) (ReflType); anti(1,1) acts as
@@ -146,9 +147,10 @@ def induced_torus_action(c: SurfaceInvolutionClass) -> InvolutionClassLabel:
         raise ValueError("induced torus action is defined for genus 1 only")
     if c.orientation_preserving:
         raise ValueError("induced torus action is defined for reversing classes only")
+    labels = torus_mcg.InvolutionClassLabel
     if c.kind is InvolutionKind.REFL:
-        return InvolutionClassLabel.REFL_TYPE
-    return InvolutionClassLabel.ANTI_TYPE if c.r == 1 else InvolutionClassLabel.REFL_TYPE
+        return labels.REFL_TYPE
+    return labels.ANTI_TYPE if c.r == 1 else labels.REFL_TYPE
 
 
 def usable_for_census(c: SurfaceInvolutionClass) -> bool:

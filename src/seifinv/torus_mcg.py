@@ -10,10 +10,10 @@ brute-force conjugator search (see the test suite) rather than trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 __all__ = [
     "IDENTITY",
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix2:
+class IntMatrix2(NamedTuple):
     """Row-major 2x2 integer matrix: top row (a b), bottom row (c d)."""
 
     a: int
@@ -171,13 +170,16 @@ def find_conjugator(A: IntMatrix2, B: IntMatrix2, bound: int) -> IntMatrix2 | No
         raise ValueError("conjugacy search requires |det| = 1 on both sides")
     if A == B:
         return IDENTITY
+    # Entries unpacked once: local names are read faster than the fields.
+    a1, b1, c1, d1 = A
+    a2, b2, c2, d2 = B
     for a, b, c, d in _unimodular_entries(bound):
         # H A == B H avoids forming the inverse in the inner loop.
         if (
-            a * A.a + b * A.c == B.a * a + B.b * c
-            and a * A.b + b * A.d == B.a * b + B.b * d
-            and c * A.a + d * A.c == B.c * a + B.d * c
-            and c * A.b + d * A.d == B.c * b + B.d * d
+            a * a1 + b * c1 == a2 * a + b2 * c
+            and a * b1 + b * d1 == a2 * b + b2 * d
+            and c * a1 + d * c1 == c2 * a + d2 * c
+            and c * b1 + d * d1 == c2 * b + d2 * d
         ):
             return IntMatrix2(a, b, c, d)
     return None

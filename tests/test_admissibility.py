@@ -7,6 +7,7 @@ from seifinv import (
     GeometryType,
     SeifertInvariants,
     Violation,
+    admissibility,
     check_admissible,
     enumerate_admissible,
     euler_number,
@@ -160,3 +161,22 @@ class TestEnumerate:
     def test_negative_bounds_rejected(self):
         with pytest.raises(ValueError):
             enumerate_admissible(-1, 2)
+
+    def test_window_at_the_caps(self):
+        assert (admissibility.MAX_GMAX, admissibility.MAX_NMAX) == (50, 100)
+        got = enumerate_admissible(50, 100)
+        assert len(got) == 51 * 51
+        assert got[-1] == M(50, [(2, 1)] * 100, -50)
+
+    @pytest.mark.parametrize(
+        "g_max, n_max, message",
+        [(51, 0, "gmax must be at most 50, got 51"), (0, 101, "nmax must be at most 100, got 101")],
+    )
+    def test_window_past_a_cap_refused_first(self, monkeypatch, g_max, n_max, message):
+        def unreachable(*args):  # the refusal comes before any descriptor is built
+            raise AssertionError("a descriptor was built")
+
+        monkeypatch.setattr(admissibility, "SeifertInvariants", unreachable)
+        with pytest.raises(ValueError) as exc:
+            enumerate_admissible(g_max, n_max)
+        assert str(exc.value) == message

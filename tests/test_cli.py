@@ -194,6 +194,20 @@ class TestEnumerate:
         second = run(["enumerate", "--gmax", "2", "--nmax", "4"])
         assert first.message == second.message
 
+    def test_window_caps(self, capsys):
+        g_cap, n_cap = admissibility.MAX_GMAX, admissibility.MAX_NMAX
+        at_cap = payload_of(["enumerate", "--gmax", str(g_cap), "--nmax", str(n_cap), "--json"])
+        assert len(at_cap["descriptors"]) == (g_cap + 1) * (n_cap // 2 + 1)
+        past_caps = [("gmax", g_cap, g_cap + 1, n_cap), ("nmax", n_cap, g_cap, n_cap + 1)]
+        for option, cap, g, n in past_caps:
+            past = run(["enumerate", "--gmax", str(g), "--nmax", str(n)])
+            message = f"{option} must be at most {cap}, got {cap + 1}"
+            assert (past.exit_code, past.message) == (1, message)
+        with pytest.raises(SystemExit):
+            cli.main(["enumerate", "--help"])
+        help_text = capsys.readouterr().out
+        assert f"0 to {g_cap}" in help_text and f"0 to {n_cap}" in help_text
+
 
 class TestMcg:
     def test_class(self):

@@ -9,6 +9,8 @@ imported every layer already.
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +20,8 @@ import pytest
 import seifinv
 from seifinv import admissibility, census, filling, invariants, surfaces, torus_mcg
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 LAYERS = (admissibility, census, filling, invariants, surfaces, torus_mcg)
 
 # The public names of the package, as the eager star-imports exported them.
@@ -75,7 +78,7 @@ def test_importing_the_cli_executes_no_layer(statement):
         (["lift", "(2,n1|)"], ["admissibility", "census", "invariants"]),
         (
             ["census", "(0,o1|(2,1),(2,1),(1,-1))"],
-            ["admissibility", "census", "invariants", "surfaces", "torus_mcg"],
+            ["admissibility", "census", "invariants", "surfaces"],
         ),
         (
             ["psi-check", "(0,o1|(2,1),(2,1),(1,-1))"],
@@ -87,6 +90,30 @@ def test_importing_the_cli_executes_no_layer(statement):
 def test_a_command_executes_only_the_layers_it_reads(argv, layers):
     code = f"import seifinv.cli\nassert seifinv.cli.run({argv!r}).exit_code == 0\n"
     assert _layers_executed(code) == layers
+
+
+# The CLI examples of the README, one argv each.
+_CLI_BLOCK = re.search(r"## CLI\n\n```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+README_EXAMPLES = [shlex.split(line)[1:] for line in _CLI_BLOCK[1].splitlines()]
+
+
+def test_the_readme_lists_eleven_examples():
+    assert len(README_EXAMPLES) == 11
+
+
+README_IDS = ["-".join(a[:2]) if a[0] == "mcg" else a[0] for a in README_EXAMPLES]
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=README_IDS)
+def test_a_readme_example_imports_neither_dataclasses_nor_inspect(argv):
+    code = (
+        "import sys\nimport seifinv.cli\n"
+        f"assert seifinv.cli.run({argv!r}).exit_code == 0\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_public_names_are_unchanged():

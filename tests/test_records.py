@@ -1,0 +1,125 @@
+"""The library's records are NamedTuples; the validated ones check their
+fields in ``__new__``.  These tests pin what the frozen dataclasses they
+replace did: construction by position and by keyword, every refusal with its
+exact message, the sign fold of a filling slope, and the hash of the field
+tuple, so sets of records iterate in the same order.
+"""
+
+import pytest
+
+from seifinv import (
+    BaseSurface,
+    ExtensionConstraint,
+    FactorizationRecord,
+    FillingSlope,
+    IntMatrix2,
+    InvolutionKind,
+    SeifertInvariants,
+    SurfaceInvolutionClass,
+)
+
+ID, SPIT, ROT, REFL, ANTI = (
+    InvolutionKind.ID,
+    InvolutionKind.SPIT,
+    InvolutionKind.ROT,
+    InvolutionKind.REFL,
+    InvolutionKind.ANTI,
+)
+SPIT00 = SurfaceInvolutionClass(SPIT, 0, 0)
+
+# (record, positional args, keyword args); both build the same value.
+CONSTRUCTIONS = [
+    (BaseSurface, (2, False), {"genus": 2, "orientable": False}),
+    (
+        SeifertInvariants,
+        (BaseSurface(0), ((2, 1), (2, 1)), -1),
+        {"base": BaseSurface(0), "pairs": ((2, 1), (2, 1)), "b": -1},
+    ),
+    (FillingSlope, (3, 1), {"m": 3, "l": 1}),
+    (ExtensionConstraint, ((1, 0), (1, 2)), {"v_fix": (1, 0), "v_flip": (1, 2)}),
+    (
+        FactorizationRecord,
+        ("reversed", SPIT00, 2),
+        {"fiber_orientation": "reversed", "surface_class": SPIT00, "fixed_boundary_count": 2},
+    ),
+    (SurfaceInvolutionClass, (REFL, 3, 1), {"kind": REFL, "g": 3, "r": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "record, args, kwargs", CONSTRUCTIONS, ids=[c[0].__name__ for c in CONSTRUCTIONS]
+)
+def test_positional_and_keyword_construction_agree(record, args, kwargs):
+    by_position, by_keyword = record(*args), record(**kwargs)
+    assert by_position == by_keyword and type(by_keyword) is record
+    assert tuple(by_keyword) == args
+    assert by_keyword._fields == tuple(kwargs)
+    assert hash(by_position) == hash(args)
+
+
+def test_defaults():
+    assert BaseSurface(1) == BaseSurface(1, True)
+    assert SeifertInvariants(BaseSurface(1)) == SeifertInvariants(BaseSurface(1), (), 0)
+    assert SurfaceInvolutionClass(ID, 4) == SurfaceInvolutionClass(ID, 4, 0)
+
+
+REFUSALS = [
+    (BaseSurface, (-1,), "genus must be non-negative"),
+    (BaseSurface, (0, False), "non-orientable base surface needs genus >= 1"),
+    (SeifertInvariants, (BaseSurface(0), ((0, 1),)), "fiber order must be positive in (0,1)"),
+    (SeifertInvariants, (BaseSurface(0), ((-3, 1),)), "fiber order must be positive in (-3,1)"),
+    (SeifertInvariants, (BaseSurface(0), ((2, 1), (4, 2))), "non-coprime pair (4,2)"),
+    (FillingSlope, (0, 0), "slope (0,0) does not name a curve"),
+    (FillingSlope, (2, 4), "slope (2,4) is not primitive"),
+    (FillingSlope, (-3, 0), "slope (-3,0) is not primitive"),
+    (ExtensionConstraint, ((0, 0), (1, 2)), "constraint vector (0, 0) must be primitive"),
+    (ExtensionConstraint, ((1, 0), (2, 4)), "constraint vector (2, 4) must be primitive"),
+    (FactorizationRecord, ("sideways", SPIT00, 0), "unknown fiber orientation 'sideways'"),
+    (FactorizationRecord, ("preserved", SPIT00, -1), "fixed boundary count must be non-negative"),
+    (SurfaceInvolutionClass, (ID, -1), "genus and r must be non-negative"),
+    (SurfaceInvolutionClass, (SPIT, 2, -1), "genus and r must be non-negative"),
+    (SurfaceInvolutionClass, (ID, 2, 1), "id takes no r parameter"),
+    (SurfaceInvolutionClass, (ROT, 3, 1), "rot takes no r parameter"),
+    (SurfaceInvolutionClass, (ROT, 2), "rot exists only for odd genus"),
+    (SurfaceInvolutionClass, (SPIT, 3, 2), "spit needs r <= g/2"),
+    (SurfaceInvolutionClass, (REFL, 3, 2), "refl needs r <= g/2"),
+    (SurfaceInvolutionClass, (ANTI, 3, 4), "anti needs r <= g"),
+]
+
+
+@pytest.mark.parametrize("record, args, message", REFUSALS, ids=[r[2] for r in REFUSALS])
+def test_refusal_messages(record, args, message):
+    with pytest.raises(ValueError) as exc:
+        record(*args)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "given, stored", [((-1, -2), (1, 2)), ((3, -1), (-3, 1)), ((-1, 0), (1, 0)), ((1, 2), (1, 2))]
+)
+def test_filling_slope_folds_the_sign(given, stored):
+    slope = FillingSlope(*given)
+    assert (slope.m, slope.l) == stored
+    assert slope == FillingSlope(m=given[0], l=given[1])
+    assert str(slope) == f"({stored[0]},{stored[1]})"
+
+
+def test_matrix_hash_is_the_field_tuple_hash():
+    entries = [(a, b, c, d) for a in (-2, 0, 1) for b in (-1, 3) for c in (0, 5) for d in (-7, 1)]
+    for t in entries:
+        assert hash(IntMatrix2(*t)) == hash(t)
+    # Equal hashes and equal insertion order: a frozenset of matrices
+    # iterates in the order of the frozenset of their entry tuples.
+    assert [tuple(A) for A in frozenset(IntMatrix2(*t) for t in entries)] == list(
+        frozenset(entries)
+    )
+
+
+def test_validated_records_are_frozen():
+    M = SeifertInvariants(BaseSurface(0), ((2, 1), (2, 1)), -1)
+    for record, name in [(M, "b"), (M, "tally"), (M, "extra"), (FillingSlope(1, 2), "m")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    with pytest.raises(AttributeError):
+        FillingSlope(1, 2).extra = 0
+    assert M.tally == {(2, 1): 2}

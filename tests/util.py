@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 
 from seifinv import BaseSurface, SeifertInvariants, verify_v221_construction
 
@@ -35,5 +34,5 @@ def v221_unit_tampers():
         for entry in "abcd":
             for step in (1, -1):
                 moved = list(actions)
-                moved[j] = replace(A, **{entry: getattr(A, entry) + step})
+                moved[j] = A._replace(**{entry: getattr(A, entry) + step})
                 yield tuple(moved[:3]), moved[3]
