@@ -10,12 +10,12 @@ orbifold Euler characteristic.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .invariants import (
     BaseSurface,
     GeometryType,
+    Rational,
     SeifertInvariants,
     euler_number,
     normalize,
@@ -47,11 +47,11 @@ class AdmissibilityReport(NamedTuple):
     case_label: str | None
     geometry: GeometryType
     normalized: SeifertInvariants
-    euler_number: Fraction
-    chi_orb: Fraction
+    euler_number: Rational
+    chi_orb: Rational
 
 
-def _violations(N: SeifertInvariants, e: Fraction) -> tuple[Violation, ...]:
+def _violations(N: SeifertInvariants, e: Rational) -> tuple[Violation, ...]:
     out = []
     if e != 0:
         out.append(Violation.NONZERO_EULER)
@@ -68,7 +68,7 @@ def _violations(N: SeifertInvariants, e: Fraction) -> tuple[Violation, ...]:
     return tuple(out)
 
 
-def _case_and_geometry(N: SeifertInvariants, chi: Fraction) -> tuple[str, GeometryType]:
+def _case_and_geometry(N: SeifertInvariants, chi: Rational) -> tuple[str, GeometryType]:
     # N is normalized and admissible, chi is its orbifold Euler
     # characteristic.  The sign of chi picks the major case and the
     # geometry; (genus, n) picks the letter.

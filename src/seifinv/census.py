@@ -12,13 +12,13 @@ double cover.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import filling, surfaces
 from .admissibility import AdmissibilityReport, check_admissible
 from .invariants import (
     BaseSurface,
+    Rational,
     SeifertInvariants,
     euler_number,
     orbifold_euler_characteristic,
@@ -70,6 +70,10 @@ class FactorizationRecord(_RecordFields):
         if fixed_boundary_count < 0:
             raise ValueError("fixed boundary count must be non-negative")
         return super().__new__(cls, fiber_orientation, surface_class, fixed_boundary_count)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class CensusReport(NamedTuple):
@@ -147,10 +151,10 @@ def fiber_flip_conjugacy_check(
 
 
 class DoubleCoverReport(NamedTuple):
-    euler_input: Fraction
-    euler_cover: Fraction
-    chi_orb_input: Fraction
-    chi_orb_cover: Fraction
+    euler_input: Rational
+    euler_cover: Rational
+    chi_orb_input: Rational
+    chi_orb_cover: Rational
     euler_doubled: bool
     chi_orb_doubled: bool
     cover_admissibility: AdmissibilityReport

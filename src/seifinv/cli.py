@@ -402,8 +402,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="refuse an inadmissible descriptor, else run the V(2,2;-1) validator once",
     )
     p.add_argument("descriptor")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument(
+        "--trials",
+        type=int,
+        default=100,
+        help="0 passes vacuously; any positive count runs the validator once (default 100)",
+    )
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="echoed in the output and otherwise unused (default: SEIFERT_SEED, else 0)",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_psi_check)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .torus_mcg import IntMatrix2, is_involution, mat_det
@@ -67,6 +66,10 @@ class FillingSlope(_SlopeFields):
             m, l = -m, -l
         return super().__new__(cls, m, l)
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
     def __str__(self) -> str:
         return f"({self.m},{self.l})"
 
@@ -88,33 +91,35 @@ class ExtensionConstraint(_ConstraintFields):
                 raise ValueError(f"constraint vector {v} must be primitive")
         return super().__new__(cls, v_fix, v_flip)
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
 
 def solve_boundary_involutions(constraint: ExtensionConstraint) -> frozenset[IntMatrix2]:
     """All A in GL2(Z) with A v_fix = eps v_fix and A v_flip = -eps v_flip.
 
-    Solved exactly over the rationals on the basis spanned by the two
-    vectors, then filtered for integrality and |det| = 1.  Parallel vectors
-    force eps = -eps, so the empty set is returned.
+    Solved exactly in integers on the basis spanned by the two vectors:
+    A = Q_eps adj(P) / det P, kept when det P divides every entry and
+    |det A| = 1.  Parallel vectors force eps = -eps, so the empty set is
+    returned.
     """
     vf, vl = constraint.v_fix, constraint.v_flip
     det = vf[0] * vl[1] - vf[1] * vl[0]
     if det == 0:
         return frozenset()
-    # P = [v_fix | v_flip] as columns; A = Q_eps P^{-1}.
-    p_inv = (
-        (Fraction(vl[1], det), Fraction(-vl[0], det)),
-        (Fraction(-vf[1], det), Fraction(vf[0], det)),
-    )
+    # P = [v_fix | v_flip] as columns; P^{-1} = adj(P) / det.
+    adj = ((vl[1], -vl[0]), (-vf[1], vf[0]))
     found = set()
     for eps in (1, -1):
         q = ((eps * vf[0], -eps * vl[0]), (eps * vf[1], -eps * vl[1]))
         entries = [
-            q[row][0] * p_inv[0][col] + q[row][1] * p_inv[1][col]
+            q[row][0] * adj[0][col] + q[row][1] * adj[1][col]
             for row in (0, 1)
             for col in (0, 1)
         ]
-        if all(e.denominator == 1 for e in entries):
-            A = IntMatrix2(*(int(e) for e in entries))
+        if all(e % det == 0 for e in entries):
+            A = IntMatrix2(*(e // det for e in entries))
             if abs(mat_det(A)) == 1:
                 found.add(A)
     return frozenset(found)

@@ -15,18 +15,19 @@ with q = 1 elsewhere in the list are kept verbatim: they express the
 unnormalized bookkeeping form and are folded into b only by ``normalize``,
 never implicitly.
 
-All arithmetic is exact; invariants are ``fractions.Fraction`` values and no
-floating point appears anywhere in this package.
+All arithmetic is exact: the invariants are ``Rational`` values, summed in
+integers and reduced once, and no floating point appears anywhere in this
+package.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from collections import Counter
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 __all__ = [
@@ -64,8 +65,9 @@ class SeifertParseError(ValueError):
         self.position = position
 
 
-# A NamedTuple body may not define __new__, so each record that checks its
-# fields does so in a thin subclass of its NamedTuple.
+# A NamedTuple body may not define __new__ or _make, so each record that
+# checks its fields does so in a thin subclass of its NamedTuple.  There
+# _make builds through __new__, and so does _replace, which calls _make.
 class _BaseSurfaceFields(NamedTuple):
     genus: int
     orientable: bool
@@ -80,6 +82,10 @@ class BaseSurface(_BaseSurfaceFields):
         if not orientable and genus == 0:
             raise ValueError("non-orientable base surface needs genus >= 1")
         return super().__new__(cls, genus, orientable)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def euler_characteristic(self) -> int:
         if self.orientable:
@@ -112,6 +118,10 @@ class SeifertInvariants(_SeifertFields):
         self = super().__new__(cls, base, pairs, b)
         object.__setattr__(self, "tally", tally)
         return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to attribute {name!r}")
@@ -299,7 +309,88 @@ def normalize(M: SeifertInvariants) -> SeifertInvariants:
     return SeifertInvariants(M.base, pairs, b)
 
 
-def euler_number(M: SeifertInvariants) -> Fraction:
+def _compared(op):
+    """A ``Rational`` comparison method applying ``op`` to cross products."""
+
+    def compare(self, other):
+        if type(other) is int:
+            return op(self._numerator, other * self._denominator)
+        n, d = getattr(other, "numerator", None), getattr(other, "denominator", None)
+        if not isinstance(n, int) or not isinstance(d, int) or d < 1:
+            return NotImplemented
+        return op(self._numerator * d, n * self._denominator)
+
+    return compare
+
+
+class Rational:
+    """The exact rational number ``numerator/denominator``, stored in lowest
+    terms with ``denominator > 0``; the value of the two invariants.
+
+    It prints as ``fractions.Fraction`` does ("n" or "n/d") and hashes as the
+    equal ``Fraction`` does.  It compares by value, by cross-multiplication,
+    with an int and with anything that has int ``numerator`` and positive
+    int ``denominator`` attributes (another ``Rational``, a ``Fraction``);
+    an int multiplies it.  It has no other arithmetic and is not registered
+    with ``numbers``, so neither ``fractions`` nor ``numbers`` is imported.
+    Like ``Fraction``, it keeps its terms in private slots behind read-only
+    properties.
+    """
+
+    __slots__ = ("_numerator", "_denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        if denominator < 1:
+            raise ValueError(f"denominator must be positive, got {denominator}")
+        g = math.gcd(numerator, denominator)
+        self._numerator = numerator // g
+        self._denominator = denominator // g
+
+    @property
+    def numerator(self) -> int:
+        return self._numerator
+
+    @property
+    def denominator(self) -> int:
+        return self._denominator
+
+    def __repr__(self) -> str:
+        return f"Rational({self._numerator}, {self._denominator})"
+
+    def __str__(self) -> str:
+        if self._denominator == 1:
+            return str(self._numerator)
+        return f"{self._numerator}/{self._denominator}"
+
+    def __bool__(self) -> bool:
+        return self._numerator != 0
+
+    def __hash__(self) -> int:
+        # The numeric hash of n/d, as Fraction computes it.
+        try:
+            inverse = pow(self._denominator, -1, sys.hash_info.modulus)
+        except ValueError:  # the modulus divides the denominator
+            h = sys.hash_info.inf
+        else:
+            h = hash(hash(abs(self._numerator)) * inverse)
+        h = h if self._numerator >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __mul__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        return Rational(other * self._numerator, self._denominator)
+
+    __rmul__ = __mul__
+    __eq__ = _compared(operator.eq)
+    __ne__ = _compared(operator.ne)
+    __lt__ = _compared(operator.lt)
+    __le__ = _compared(operator.le)
+    __gt__ = _compared(operator.gt)
+    __ge__ = _compared(operator.ge)
+
+
+def euler_number(M: SeifertInvariants) -> Rational:
     """e = -(b + sum of p_i/q_i), exactly.
 
     The sum is taken in integers over the common denominator L = lcm(q_i),
@@ -308,10 +399,10 @@ def euler_number(M: SeifertInvariants) -> Fraction:
     """
     L = math.lcm(*(q for q, _ in M.tally))
     total = sum(count * p * (L // q) for (q, p), count in M.tally.items())
-    return Fraction(-(M.b * L + total), L)
+    return Rational(-(M.b * L + total), L)
 
 
-def orbifold_euler_characteristic(M: SeifertInvariants) -> Fraction:
+def orbifold_euler_characteristic(M: SeifertInvariants) -> Rational:
     """chi of the underlying base surface minus sum of (1 - 1/q_i).
 
     Summed in integers over L = lcm(q_i) as (chi*L - sum of (L - L/q_i)) / L,
@@ -320,7 +411,7 @@ def orbifold_euler_characteristic(M: SeifertInvariants) -> Fraction:
     """
     L = math.lcm(*(q for q, _ in M.tally))
     deficit = sum(count * (L - L // q) for (q, _), count in M.tally.items())
-    return Fraction(M.base.euler_characteristic() * L - deficit, L)
+    return Rational(M.base.euler_characteristic() * L - deficit, L)
 
 
 def geometry(M: SeifertInvariants) -> GeometryType:

@@ -59,6 +59,10 @@ class SurfaceInvolutionClass(_SurfaceInvolutionFields):
             raise ValueError("anti needs r <= g")
         return super().__new__(cls, kind, g, r)
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
     @property
     def orientation_preserving(self) -> bool:
         return self.kind in _PRESERVING

@@ -390,6 +390,12 @@ class TestPsiCheck:
         assert "re-framing" not in text
         assert "psi-check refuse an inadmissible descriptor, else run the V(2,2;-1) validator once" in text
 
+    def test_help_says_the_seed_is_echoed_and_unused(self, capsys):
+        assert run(["psi-check", "--help"]).exit_code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--seed SEED echoed in the output and otherwise unused (default: SEIFERT_SEED" in text
+        assert "0 passes vacuously; any positive count runs the validator once" in text
+
     def test_zero_trials_pass_vacuously(self):
         payload = payload_of(["psi-check", "(0,o1|(2,1),(2,1),(1,-1))", "--trials", "0", "--json"])
         assert payload["passed"] is True

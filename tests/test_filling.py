@@ -109,6 +109,36 @@ class TestSolveBoundaryInvolutions:
                     assert is_involution(A)
                     assert abs(mat_det(A)) == 1
 
+    def test_general_constraints_match_brute_force_window(self):
+        # Every pair of primitive vectors with entries in [-2, 2], v_fix not
+        # (1, 0), spanning a sublattice of index |det P| in {1, 2, 3}.  A
+        # solution satisfies A P = Q_eps, so A = Q_eps P^-1 and each entry is
+        # at most (2*2 + 2*2) / |det P| <= 8 in size: the window holds them all.
+        window = range(-8, 9)
+        unimodular = [
+            t for t in itertools.product(window, repeat=4) if abs(t[0] * t[3] - t[1] * t[2]) == 1
+        ]
+        vectors = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if math.gcd(a, b) == 1]
+        seen = {1: 0, 2: 0, 3: 0}
+        for vf, vl in itertools.product(vectors, repeat=2):
+            index = abs(vf[0] * vl[1] - vf[1] * vl[0])
+            if vf == (1, 0) or index not in seen:
+                continue
+            seen[index] += 1
+            brute = frozenset(
+                IntMatrix2(a, b, c, d)
+                for a, b, c, d in unimodular
+                for eps in (1, -1)
+                if (a * vf[0] + b * vf[1], c * vf[0] + d * vf[1]) == (eps * vf[0], eps * vf[1])
+                and (a * vl[0] + b * vl[1], c * vl[0] + d * vl[1]) == (-eps * vl[0], -eps * vl[1])
+            )
+            assert solve_boundary_involutions(ExtensionConstraint(vf, vl)) == brute, (vf, vl)
+            # For an involution A, 2x = (x + Ax) + (x - Ax) splits 2x into the
+            # two eigenlattices, so they span a sublattice of index 1 or 2:
+            # index 3 has no solution.
+            assert len(brute) == (2 if index < 3 else 0), (vf, vl)
+        assert seen == {1: 94, 2: 36, 3: 48}
+
 
 class TestTransport:
     """Filling-torus solutions carried through the hand-derived gluing land

@@ -7,6 +7,8 @@ Each case runs in a fresh interpreter, because this test process has
 imported every layer already.
 """
 
+import ast
+import functools
 import json
 import os
 import re
@@ -104,16 +106,46 @@ def test_the_readme_lists_eleven_examples():
 README_IDS = ["-".join(a[:2]) if a[0] == "mcg" else a[0] for a in README_EXAMPLES]
 
 
-@pytest.mark.parametrize("argv", README_EXAMPLES, ids=README_IDS)
-def test_a_readme_example_imports_neither_dataclasses_nor_inspect(argv):
+# Modules a cold process should not pay for: dataclasses pulls in inspect,
+# and fractions pulls in decimal, _decimal and numbers.
+DATACLASS_MODULES = {"dataclasses", "inspect"}
+FRACTION_MODULES = {"fractions", "decimal", "_decimal", "numbers"}
+HEAVY = sorted(DATACLASS_MODULES | FRACTION_MODULES)
+
+
+@functools.lru_cache(maxsize=None)
+def _heavy_modules_after(argv: tuple[str, ...]) -> list[str]:
+    """The ``HEAVY`` modules a fresh interpreter holds after running ``argv``."""
     code = (
         "import sys\nimport seifinv.cli\n"
-        f"assert seifinv.cli.run({argv!r}).exit_code == 0\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        f"assert seifinv.cli.run({list(argv)!r}).exit_code == 0\n"
+        f"print(sorted(set({HEAVY!r}) & set(sys.modules)))\n"
     )
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=README_IDS)
+def test_a_readme_example_imports_neither_dataclasses_nor_inspect(argv):
+    assert DATACLASS_MODULES.isdisjoint(_heavy_modules_after(tuple(argv)))
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=README_IDS)
+def test_a_readme_example_imports_no_fraction_module(argv):
+    assert FRACTION_MODULES.isdisjoint(_heavy_modules_after(tuple(argv)))
+
+
+def test_no_library_module_imports_fractions():
+    for path in sorted((ROOT / "src" / "seifinv").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "fractions" for n in names), path.name
 
 
 def test_public_names_are_unchanged():

@@ -123,3 +123,60 @@ def test_validated_records_are_frozen():
     with pytest.raises(AttributeError):
         FillingSlope(1, 2).extra = 0
     assert M.tally == {(2, 1): 2}
+
+
+# (record value, fields replaced, a replacement the constructor refuses, its message)
+REPLACEMENTS = [
+    (
+        BaseSurface(2, False),
+        {"genus": 3},
+        {"genus": 0},
+        "non-orientable base surface needs genus >= 1",
+    ),
+    (
+        SeifertInvariants(BaseSurface(0), ((2, 1), (2, 1)), -1),
+        {"b": -2},
+        {"pairs": ((2, 1), (4, 2))},
+        "non-coprime pair (4,2)",
+    ),
+    (FillingSlope(1, 2), {"l": -4}, {"m": 2}, "slope (2,2) is not primitive"),
+    (
+        ExtensionConstraint((1, 0), (1, 2)),
+        {"v_flip": (3, 1)},
+        {"v_fix": (2, 4)},
+        "constraint vector (2, 4) must be primitive",
+    ),
+    (
+        FactorizationRecord("reversed", SPIT00, 2),
+        {"fixed_boundary_count": 0},
+        {"fiber_orientation": "sideways"},
+        "unknown fiber orientation 'sideways'",
+    ),
+    (SurfaceInvolutionClass(REFL, 3, 1), {"r": 0}, {"r": 2}, "refl needs r <= g/2"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, changes, refused, message",
+    REPLACEMENTS,
+    ids=[type(r[0]).__name__ for r in REPLACEMENTS],
+)
+def test_replace_and_make_run_the_constructor(value, changes, refused, message):
+    record = type(value)
+    expected = record(**{**value._asdict(), **changes})
+    for got in (value._replace(**changes), record._make(tuple(expected))):
+        assert type(got) is record and got == expected
+        assert str(got) == str(expected)
+    for build in (
+        lambda: value._replace(**refused),
+        lambda: record._make(tuple({**value._asdict(), **refused}.values())),
+    ):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_replace_keeps_the_tally_and_folds_the_slope():
+    M = SeifertInvariants(BaseSurface(0), ((2, 1), (2, 1)), -1)._replace(b=-2)
+    assert M.tally == {(2, 1): 2} and str(M) == "(0,o1|(2,1),(2,1),(1,-2))"
+    assert tuple(FillingSlope(1, 2)._replace(l=-4)) == (-1, 4)
