@@ -27,7 +27,6 @@ __all__ = [
     "Violation",
     "check_admissible",
     "enumerate_admissible",
-    "exclude_fixed_point_free",
 ]
 
 
@@ -107,17 +106,6 @@ def check_admissible(M: SeifertInvariants) -> AdmissibilityReport:
         return AdmissibilityReport(False, violations, None, GeometryType.OTHER, N, e, chi)
     label, geom = _case_and_geometry(N, chi)
     return AdmissibilityReport(True, violations, label, geom, N, e, chi)
-
-
-def exclude_fixed_point_free(M: SeifertInvariants) -> bool:
-    """True when fixed-point-free orientation-reversing involutions are ruled out.
-
-    Only the trivial circle bundles (g,o1|) with b = 0, i.e. the products
-    S1 x S, escape the exclusion.
-    """
-    N = normalize(M)
-    is_product = N.base.orientable and not N.pairs and N.b == 0
-    return not is_product
 
 
 # Largest window enumerate_admissible accepts: 51 genera times 51 even fiber

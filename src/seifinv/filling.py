@@ -25,7 +25,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .torus_mcg import IntMatrix2, is_involution, mat_det
+from .torus_mcg import IntMatrix2, is_involution
 
 __all__ = [
     "ConstructionReport",
@@ -100,9 +100,9 @@ def solve_boundary_involutions(constraint: ExtensionConstraint) -> frozenset[Int
     """All A in GL2(Z) with A v_fix = eps v_fix and A v_flip = -eps v_flip.
 
     Solved exactly in integers on the basis spanned by the two vectors:
-    A = Q_eps adj(P) / det P, kept when det P divides every entry and
-    |det A| = 1.  Parallel vectors force eps = -eps, so the empty set is
-    returned.
+    A = Q_eps adj(P) / det P, kept when det P divides every entry.  Every
+    such A has det A = det Q_eps / det P = -1, so it lies in GL2(Z).
+    Parallel vectors force eps = -eps, so the empty set is returned.
     """
     vf, vl = constraint.v_fix, constraint.v_flip
     det = vf[0] * vl[1] - vf[1] * vl[0]
@@ -119,9 +119,7 @@ def solve_boundary_involutions(constraint: ExtensionConstraint) -> frozenset[Int
             for col in (0, 1)
         ]
         if all(e % det == 0 for e in entries):
-            A = IntMatrix2(*(e // det for e in entries))
-            if abs(mat_det(A)) == 1:
-                found.add(A)
+            found.add(IntMatrix2(*(e // det for e in entries)))
     return frozenset(found)
 
 

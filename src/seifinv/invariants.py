@@ -36,7 +36,6 @@ __all__ = [
     "SeifertInvariants",
     "SeifertParseError",
     "euler_number",
-    "geometry",
     "normalize",
     "orbifold_euler_characteristic",
     "parse_seifert",
@@ -412,19 +411,3 @@ def orbifold_euler_characteristic(M: SeifertInvariants) -> Rational:
     L = math.lcm(*(q for q, _ in M.tally))
     deficit = sum(count * (L - L // q) for (q, _), count in M.tally.items())
     return Rational(M.base.euler_characteristic() * L - deficit, L)
-
-
-def geometry(M: SeifertInvariants) -> GeometryType:
-    """Trichotomy S2xR / E3 / H2xR by the sign of the orbifold characteristic.
-
-    Only defined for descriptors that satisfy the involution-admissibility
-    conditions (orientable base, e = 0, all fiber orders 2, evenly many,
-    b = -n/2); anything else maps to ``OTHER``.  The conditions are decided
-    once, by ``admissibility.check_admissible``, in its single pass over the
-    normalized descriptor; this reads the geometry off that report.
-    """
-    if not M.base.orientable:
-        return GeometryType.OTHER
-    from .admissibility import check_admissible  # admissibility imports this module
-
-    return check_admissible(M).geometry

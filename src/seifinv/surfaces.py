@@ -11,8 +11,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from . import torus_mcg
-
 __all__ = [
     "ClassCount",
     "FixedPointData",
@@ -21,8 +19,6 @@ __all__ = [
     "classes_for_genus",
     "count_classes",
     "fixed_point_data",
-    "induced_torus_action",
-    "usable_for_census",
 ]
 
 
@@ -84,14 +80,28 @@ class FixedPointData(NamedTuple):
     def free(self) -> bool:
         return not (self.isolated_points or self.circles or self.entire_surface)
 
+    def __str__(self) -> str:
+        if self.entire_surface:
+            return "entire surface"
+        counts = ((self.isolated_points, "points"), (self.circles, "circles"))
+        return ", ".join(f"{n} {what}" for n, what in counts if n) or "free"
+
+
+# Largest genus classes_for_genus accepts; the class list has 4 + 2g entries.
+MAX_GENUS = 50
+
 
 def classes_for_genus(g: int, selection: str = "all") -> list[SurfaceInvolutionClass]:
     """Complete class list for genus g, optionally filtered by orientation.
 
-    ``selection`` is one of "all", "preserving", "reversing".
+    ``selection`` is one of "all", "preserving", "reversing".  ``g`` runs
+    from 0 to ``MAX_GENUS`` (50); any other value is refused with
+    ``ValueError`` before a class is built.
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
+    if g > MAX_GENUS:
+        raise ValueError(f"genus must be at most {MAX_GENUS}, got {g}")
     preserving = [SurfaceInvolutionClass(InvolutionKind.ID, g)]
     preserving += [SurfaceInvolutionClass(InvolutionKind.SPIT, g, r) for r in range(g // 2 + 1)]
     if g % 2 == 1:
@@ -139,33 +149,3 @@ def fixed_point_data(c: SurfaceInvolutionClass) -> FixedPointData:
     if k is InvolutionKind.REFL:
         return FixedPointData(circles=c.g - 2 * c.r + 1)
     return FixedPointData(circles=c.r)
-
-
-def induced_torus_action(c: SurfaceInvolutionClass) -> torus_mcg.InvolutionClassLabel:
-    """Homology action of a genus-1 orientation-reversing class.
-
-    refl(1,0) and anti(1,0) act as diag(1,-1) (ReflType); anti(1,1) acts as
-    the swap matrix (AntiType).
-    """
-    if c.g != 1:
-        raise ValueError("induced torus action is defined for genus 1 only")
-    if c.orientation_preserving:
-        raise ValueError("induced torus action is defined for reversing classes only")
-    labels = torus_mcg.InvolutionClassLabel
-    if c.kind is InvolutionKind.REFL:
-        return labels.REFL_TYPE
-    return labels.ANTI_TYPE if c.r == 1 else labels.REFL_TYPE
-
-
-def usable_for_census(c: SurfaceInvolutionClass) -> bool:
-    """False exactly for the fixed-point-free classes rot and anti(g,0).
-
-    A surface involution without fixed points cannot arise as the full
-    symmetry of a non-product manifold; it may still appear as the
-    orientation-preserving factor of one.
-    """
-    if c.kind is InvolutionKind.ROT:
-        return False
-    if c.kind is InvolutionKind.ANTI and c.r == 0:
-        return False
-    return True

@@ -23,7 +23,6 @@ __all__ = [
     "involution_class",
     "is_involution",
     "mat_det",
-    "mat_inv",
     "mat_mul",
 ]
 
@@ -62,15 +61,6 @@ def mat_mul(A: IntMatrix2, B: IntMatrix2) -> IntMatrix2:
         A.c * B.a + A.d * B.c,
         A.c * B.b + A.d * B.d,
     )
-
-
-def mat_inv(A: IntMatrix2) -> IntMatrix2:
-    det = mat_det(A)
-    if det == 1:
-        return IntMatrix2(A.d, -A.b, -A.c, A.a)
-    if det == -1:
-        return IntMatrix2(-A.d, A.b, A.c, -A.a)
-    raise ValueError(f"matrix {A} is not invertible over the integers (det {det})")
 
 
 def is_involution(A: IntMatrix2) -> bool:

@@ -9,9 +9,10 @@ from seifinv import (
     Violation,
     admissibility,
     check_admissible,
+    CensusScopeError,
     enumerate_admissible,
+    enumerate_factorizations,
     euler_number,
-    exclude_fixed_point_free,
     normalize,
     orbifold_euler_characteristic,
     parse_seifert,
@@ -73,22 +74,33 @@ class TestCheckAdmissible:
 
 
 class TestExcludeFixedPointFree:
+    """Fixed-point-free reversing involutions are ruled out on every
+    manifold but the products S1 x S: the trivial bundles (g,o1|) with b = 0
+    once normalized.  The census refuses the products and takes the marked
+    non-products."""
+
     def test_trivial_product_not_excluded(self):
-        assert exclude_fixed_point_free(M(2)) is False
+        report = check_admissible(M(0))
+        assert report.admissible and report.normalized == M(0)
+        with pytest.raises(CensusScopeError, match="products are outside"):
+            enumerate_factorizations(M(0))
 
     def test_marked_manifold_excluded(self):
-        assert exclude_fixed_point_free(M(0, [(2, 1), (2, 1)], -1)) is True
+        assert enumerate_factorizations(M(0, [(2, 1), (2, 1)], -1)).count == 6
 
     def test_nonzero_obstruction_excluded(self):
-        assert exclude_fixed_point_free(M(0, [], 3)) is True
+        assert not check_admissible(M(0, [], 3)).admissible
+        with pytest.raises(ValueError, match="NonzeroEuler"):
+            enumerate_factorizations(M(0, [], 3))
 
     def test_unnormalized_product_detected(self):
-        assert exclude_fixed_point_free(M(1, [(1, 2), (1, -2)])) is False
+        assert normalize(M(1, [(1, 2), (1, -2)])) == M(1)
 
     def test_admissible_non_products_always_excluded(self):
+        # An admissible descriptor has b = -n/2, so it is a product exactly
+        # when it has no marked point.
         for desc in enumerate_admissible(3, 6):
-            if desc.pairs or desc.b != 0:
-                assert exclude_fixed_point_free(desc)
+            assert (not desc.pairs) == (desc.b == 0), desc
 
 
 class TestClassifyCase:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from seifinv import admissibility, census, cli, filling, invariants, torus_mcg
+from seifinv import admissibility, census, cli, filling, invariants, surfaces, torus_mcg
 from seifinv.cli import run
 
 
@@ -302,6 +302,16 @@ class TestSurfaceClasses:
         payload = payload_of(["surface-classes", "--genus", "2", "--filter", "reversing", "--json"])
         names = [c["name"] for c in payload["classes"]]
         assert names == ["refl(2,0)", "refl(2,1)", "anti(2,0)", "anti(2,1)", "anti(2,2)"]
+
+    def test_genus_cap(self, capsys):
+        cap = surfaces.MAX_GENUS
+        at_cap = run(["surface-classes", "--genus", str(cap)])
+        assert (at_cap.exit_code, len(at_cap.message.splitlines())) == (0, 4 + 2 * cap)
+        past = run(["surface-classes", "--genus", str(cap + 1), "--json"])
+        assert (past.exit_code, past.message) == (1, f"genus must be at most {cap}, got {cap + 1}")
+        with pytest.raises(SystemExit):
+            cli.main(["surface-classes", "--help"])
+        assert f"--genus GENUS surface genus, 0 to {cap}" in " ".join(capsys.readouterr().out.split())
 
     def test_fixed_point_payload(self):
         payload = payload_of(["surface-classes", "--genus", "1", "--json"])

@@ -12,13 +12,12 @@ from seifinv import (
     extension_condition,
     is_involution,
     mat_det,
-    mat_inv,
     mat_mul,
     solve_boundary_involutions,
     verify_v221_construction,
 )
 from seifinv.filling import _induced_outer_action
-from util import v221_unit_tampers
+from util import inverse, v221_unit_tampers
 
 V221_FILLINGS = (FillingSlope(1, 2), FillingSlope(1, 2), FillingSlope(-1, 1))
 
@@ -29,7 +28,7 @@ def pm(A):
 
 def carried(A, G):
     """G A G^-1: an action on the filling torus seen in the outer framing."""
-    return mat_mul(mat_mul(G, A), mat_inv(G))
+    return mat_mul(mat_mul(G, A), inverse(G))
 
 
 def hand_frame(slope):
@@ -108,6 +107,17 @@ class TestSolveBoundaryInvolutions:
                 for A in solve_boundary_involutions(ExtensionConstraint(vf, vl)):
                     assert is_involution(A)
                     assert abs(mat_det(A)) == 1
+
+    def test_every_integral_solution_has_determinant_minus_one(self):
+        # A P = Q_eps and det Q_eps = -det P, so det A = -1 whenever
+        # Q_eps adj(P) / det P is integral: the solver needs no |det A| = 1 test.
+        vectors = [(a, b) for a in range(-5, 6) for b in range(-5, 6) if math.gcd(a, b) == 1]
+        determinants = [
+            mat_det(A)
+            for vf, vl in itertools.product(vectors, repeat=2)
+            for A in solve_boundary_involutions(ExtensionConstraint(vf, vl))
+        ]
+        assert set(determinants) == {-1} and len(determinants) == 1824
 
     def test_general_constraints_match_brute_force_window(self):
         # Every pair of primitive vectors with entries in [-2, 2], v_fix not

@@ -2,14 +2,20 @@
 
 Every case is replayed through ``cli.run`` and must reproduce the recorded
 status, exit code and message byte for byte, in text and ``--json`` modes,
-including the parse and domain errors.  The expected data in
-``data/golden_cli.json`` is regenerated with::
+including the parse and domain errors.  argparse's own output (the help of
+every parser and one usage error per command) is replayed through
+``cli.main`` and must reproduce stdout, stderr and the exit code byte for
+byte, at 80 columns.  argparse's layout differs between Python minor
+versions; the file was recorded with Python 3.11.  The expected data in
+``data/golden_cli.json`` and ``data/golden_help.json`` is regenerated with::
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -18,6 +24,7 @@ import sys
 from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
+HELP_GOLDEN = GOLDEN.with_name("golden_help.json")
 
 _DESCRIPTORS = [
     # one per case label
@@ -290,6 +297,62 @@ def _load() -> list[dict]:
     return json.loads(GOLDEN.read_text())
 
 
+_HELP_COMMANDS = [
+    [],
+    ["classify"],
+    ["admissible"],
+    ["enumerate"],
+    ["mcg"],
+    ["mcg", "class"],
+    ["mcg", "conjugate"],
+    ["extend"],
+    ["verify-v221"],
+    ["surface-classes"],
+    ["census"],
+    ["lift"],
+    ["psi-check"],
+]
+
+# At least one usage error per parser, of every kind argparse reports here:
+# a missing argument, an unknown choice, a bad integer, an extra argument.
+_USAGE_ERRORS = [
+    [],
+    ["bogus"],
+    ["--json"],
+    ["classify"],
+    ["admissible", "(0,o1|)", "--bogus"],
+    ["enumerate", "--gmax", "x", "--nmax", "2"],
+    ["mcg"],
+    ["mcg", "rotate"],
+    ["mcg", "class"],
+    ["mcg", "conjugate", "1,0;0,1"],
+    ["mcg", "conjugate", "1,0;0,1", "1,0;0,1", "--bound", "1.5"],
+    ["extend", "--slope", "1,2"],
+    ["verify-v221", "extra"],
+    ["surface-classes", "--genus", "2", "--filter", "odd"],
+    ["census"],
+    ["lift", "(2,n1|)", "(1,n1|)"],
+    ["psi-check", "(0,o1|)", "--trials", "x"],
+]
+
+
+def _help_cases() -> list[list[str]]:
+    helps = [cmd + ["--help"] for cmd in _HELP_COMMANDS] + [["mcg", "class", "-h"]]
+    return helps + _USAGE_ERRORS
+
+
+def _record_main(argv: list[str]) -> dict:
+    from seifinv.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "exit_code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def test_golden_covers_every_case():
     assert [rec["argv"] for rec in _load()] == _cases()
 
@@ -297,6 +360,18 @@ def test_golden_covers_every_case():
 def test_outputs_match_golden(monkeypatch):
     monkeypatch.delenv("SEIFERT_SEED", raising=False)
     mismatched = [rec["argv"] for rec in _load() if _record(rec["argv"]) != rec]
+    assert mismatched == []
+
+
+def test_help_golden_covers_every_case():
+    assert [rec["argv"] for rec in json.loads(HELP_GOLDEN.read_text())] == _help_cases()
+
+
+def test_help_and_usage_match_golden(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    mismatched = [
+        rec["argv"] for rec in json.loads(HELP_GOLDEN.read_text()) if _record_main(rec["argv"]) != rec
+    ]
     assert mismatched == []
 
 
@@ -314,4 +389,6 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     os.environ.pop("SEIFERT_SEED", None)
+    os.environ["COLUMNS"] = "80"
     GOLDEN.write_text(json.dumps([_record(a) for a in _cases()], indent=1) + "\n")
+    HELP_GOLDEN.write_text(json.dumps([_record_main(a) for a in _help_cases()], indent=1) + "\n")

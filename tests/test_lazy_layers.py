@@ -34,12 +34,10 @@ PUBLIC = [
     "InvolutionClassLabel", "InvolutionKind", "SeifertInvariants", "SeifertParseError",
     "SurfaceInvolutionClass", "UnsupportedSlopeError", "Violation", "check_admissible",
     "classes_for_genus", "count_classes", "enumerate_admissible", "enumerate_factorizations",
-    "euler_number", "exclude_fixed_point_free", "extension_condition",
-    "fiber_flip_conjugacy_check", "find_conjugator", "fixed_point_data", "geometry",
-    "induced_torus_action", "involution_class", "is_involution", "lift_to_double_cover",
-    "mat_det", "mat_inv", "mat_mul", "normalize", "orbifold_euler_characteristic",
-    "parse_seifert", "print_seifert", "solve_boundary_involutions", "usable_for_census",
-    "verify_v221_construction",
+    "euler_number", "extension_condition", "fiber_flip_conjugacy_check", "find_conjugator",
+    "fixed_point_data", "involution_class", "is_involution", "lift_to_double_cover", "mat_det",
+    "mat_mul", "normalize", "orbifold_euler_characteristic", "parse_seifert", "print_seifert",
+    "solve_boundary_involutions", "verify_v221_construction",
 ]
 
 EXECUTED = """
@@ -92,6 +90,29 @@ def test_importing_the_cli_executes_no_layer(statement):
 def test_a_command_executes_only_the_layers_it_reads(argv, layers):
     code = f"import seifinv.cli\nassert seifinv.cli.run({argv!r}).exit_code == 0\n"
     assert _layers_executed(code) == layers
+
+
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        (None, None),
+        (["mcg", "class", "1,0;0,-1"], "mcg_class"),
+        (["psi-check", "(0,o1|(2,1),(2,1),(1,-1))", "--json"], "psi_check"),
+        (["verify-v221", "extra"], None),
+    ],
+    ids=["import", "mcg-class", "psi-check", "usage-error"],
+)
+def test_a_command_imports_only_its_own_command_module(argv, module):
+    # Each command's handler is compiled only in a process that runs it.
+    run = "" if argv is None else f"seifinv.cli.run({argv!r})\n"
+    code = (
+        f"import sys\nimport seifinv.cli\n{run}"
+        "print(sorted(m for m in sys.modules if m.startswith('seifinv.commands.')))\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    expected = [] if module is None else [f"seifinv.commands.{module}"]
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == expected
 
 
 # The CLI examples of the README, one argv each.

@@ -1,16 +1,18 @@
+import math
+
 import pytest
 
 from seifinv import (
+    IntMatrix2,
     InvolutionClassLabel,
     InvolutionKind,
     SurfaceInvolutionClass,
     classes_for_genus,
     count_classes,
     fixed_point_data,
-    induced_torus_action,
     involution_class,
-    usable_for_census,
 )
+from seifinv.surfaces import MAX_GENUS
 
 ID, SPIT, ROT, REFL, ANTI = (
     InvolutionKind.ID,
@@ -53,6 +55,12 @@ class TestClassList:
     def test_unknown_filter(self):
         with pytest.raises(ValueError):
             classes_for_genus(1, "sideways")
+
+    def test_genus_cap(self):
+        assert MAX_GENUS == 50
+        assert len(classes_for_genus(MAX_GENUS)) == 4 + 2 * MAX_GENUS
+        with pytest.raises(ValueError, match="^genus must be at most 50, got 51$"):
+            classes_for_genus(MAX_GENUS + 1)
 
 
 class TestCounts:
@@ -118,47 +126,87 @@ class TestFixedPointData:
             for r in range(g // 2 + 1):
                 assert fixed_point_data(C(REFL, g, r)).circles >= 1
 
+    def test_text(self):
+        texts = {str(c): str(fixed_point_data(c)) for c in classes_for_genus(2)}
+        assert texts["id"] == "entire surface"
+        assert texts["spit(2,0)"] == "6 points"
+        assert texts["refl(2,1)"] == "1 circles"
+        assert texts["anti(2,0)"] == "free"
+
 
 class TestUsableForCensus:
+    """A class with no fixed point cannot be the full symmetry of a
+    non-product manifold (it may still be the orientation-preserving factor
+    of one): rot and anti(g,0) are exactly the free classes."""
+
     def test_rot_excluded(self):
-        assert not usable_for_census(C(ROT, 3))
+        assert fixed_point_data(C(ROT, 3)).free
 
     def test_free_anti_excluded(self):
-        assert not usable_for_census(C(ANTI, 2, 0))
+        assert fixed_point_data(C(ANTI, 2, 0)).free
 
     def test_spit_retained(self):
-        assert usable_for_census(C(SPIT, 2, 1))
+        assert not fixed_point_data(C(SPIT, 2, 1)).free
 
     def test_exclusion_matches_freeness(self):
-        for g in range(10):
-            for c in classes_for_genus(g):
-                if c.kind is ID:
-                    continue
-                assert usable_for_census(c) == (not fixed_point_data(c).free)
+        for g in range(MAX_GENUS + 1):
+            free = [c for c in classes_for_genus(g) if fixed_point_data(c).free]
+            assert free == ([C(ROT, g)] if g % 2 else []) + [C(ANTI, g, 0)], g
+
+
+def _fixed_circles(A, twice_t, n=8):
+    """Fixed circles of the torus map x -> A x + t on R^2/Z^2, for a reversing
+    involution A: the fixed points on the grid (Z/n)^2, split into the cycles
+    that steps along the +1 eigenvector of A run through."""
+    shift = [n // 2 * t for t in twice_t]
+    fixed = {
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if (A.a * i + A.b * j + shift[0] - i) % n == 0
+        and (A.c * i + A.d * j + shift[1] - j) % n == 0
+    }
+    x, y = next(col for col in ((A.a + 1, A.c), (A.b, A.d + 1)) if col != (0, 0))  # of A + I
+    v = (x // math.gcd(x, y), y // math.gcd(x, y))
+    circles = 0
+    while fixed:
+        circles += 1
+        p = fixed.pop()
+        while (p := ((p[0] + v[0]) % n, (p[1] + v[1]) % n)) in fixed:
+            fixed.remove(p)
+    return circles
+
+
+# Each reversing involution of the torus is conjugate to an affine map
+# x -> A x + t, given here as (A, 2t).
+REFLECTION = (IntMatrix2(1, 0, 0, -1), (0, 0))  # fixes the circles y = 0 and y = 1/2
+GLIDE = (IntMatrix2(1, 0, 0, -1), (1, 0))  # free
+SWAP = (IntMatrix2(0, 1, 1, 0), (0, 0))  # fixes the circle x = y
 
 
 class TestInducedTorusAction:
+    """The action of a genus-1 reversing class on homology: the catalog's
+    fixed-circle count picks the class's affine model, and
+    ``involution_class`` classifies the model's matrix."""
+
+    @staticmethod
+    def action(c):
+        models = {_fixed_circles(*model): model[0] for model in (REFLECTION, GLIDE, SWAP)}
+        return involution_class(models[fixed_point_data(c).circles])
+
     def test_anti_one_one(self):
-        assert induced_torus_action(C(ANTI, 1, 1)) == InvolutionClassLabel.ANTI_TYPE
+        assert self.action(C(ANTI, 1, 1)) == InvolutionClassLabel.ANTI_TYPE
 
     def test_refl_one_zero(self):
-        assert induced_torus_action(C(REFL, 1, 0)) == InvolutionClassLabel.REFL_TYPE
+        assert self.action(C(REFL, 1, 0)) == InvolutionClassLabel.REFL_TYPE
 
     def test_anti_one_zero(self):
-        assert induced_torus_action(C(ANTI, 1, 0)) == InvolutionClassLabel.REFL_TYPE
+        assert self.action(C(ANTI, 1, 0)) == InvolutionClassLabel.REFL_TYPE
 
     def test_matches_matrix_classifier(self):
-        # The homology representatives: diag(1,-1) and the swap matrix.
-        from seifinv import IntMatrix2
-
-        assert involution_class(IntMatrix2(1, 0, 0, -1)) == induced_torus_action(C(REFL, 1, 0))
-        assert involution_class(IntMatrix2(0, 1, 1, 0)) == induced_torus_action(C(ANTI, 1, 1))
-
-    def test_rejects_wrong_genus_or_orientation(self):
-        with pytest.raises(ValueError):
-            induced_torus_action(C(REFL, 2, 0))
-        with pytest.raises(ValueError):
-            induced_torus_action(C(SPIT, 1, 0))
+        # The models have distinct circle counts, so each class has one model.
+        assert [_fixed_circles(*model) for model in (REFLECTION, GLIDE, SWAP)] == [2, 0, 1]
+        assert classes_for_genus(1, "reversing") == [C(REFL, 1, 0), C(ANTI, 1, 0), C(ANTI, 1, 1)]
 
 
 class TestClassValidation:

@@ -1,12 +1,13 @@
-"""Shared helpers for the test suite: seeded random descriptor generators and
-the unit tampers of the V(2,2;-1) data."""
+"""Shared helpers for the test suite: seeded random descriptor generators,
+the inverse of a unimodular matrix and the unit tampers of the V(2,2;-1)
+data."""
 
 from __future__ import annotations
 
 import math
 import random
 
-from seifinv import BaseSurface, SeifertInvariants, verify_v221_construction
+from seifinv import BaseSurface, IntMatrix2, SeifertInvariants, verify_v221_construction
 
 
 def coprime_pair(rng: random.Random, q_max: int = 9, p_span: int = 12) -> tuple[int, int]:
@@ -23,6 +24,13 @@ def random_descriptor(rng: random.Random, orientable: bool | None = None) -> Sei
     genus = rng.randint(0, 8) if orientable else rng.randint(1, 8)
     pairs = tuple(coprime_pair(rng) for _ in range(rng.randint(0, 5)))
     return SeifertInvariants(BaseSurface(genus, orientable), pairs, rng.randint(-6, 6))
+
+
+def inverse(A: IntMatrix2) -> IntMatrix2:
+    """adj(A) / det(A), for a matrix of determinant +-1."""
+    det = A.a * A.d - A.b * A.c
+    assert det in (1, -1), A
+    return IntMatrix2(A.d * det, -A.b * det, -A.c * det, A.a * det)
 
 
 def v221_unit_tampers():
