@@ -64,6 +64,24 @@ class SeifertParseError(ValueError):
         self.position = position
 
 
+# The descriptor checks the records and the parser share: each returns the
+# refusal message, or None when the data passes.
+def _base_problem(genus: int, orientable: bool = True) -> str | None:
+    if genus < 0:
+        return "genus must be non-negative"
+    if not orientable and genus == 0:
+        return "non-orientable base surface needs genus >= 1"
+    return None
+
+
+def _pair_problem(q: int, p: int) -> str | None:
+    if q < 1:
+        return f"fiber order must be positive in ({q},{p})"
+    if math.gcd(p, q) != 1:
+        return f"non-coprime pair ({q},{p})"
+    return None
+
+
 # A NamedTuple body may not define __new__ or _make, so each record that
 # checks its fields does so in a thin subclass of its NamedTuple.  There
 # _make builds through __new__, and so does _replace, which calls _make.
@@ -76,10 +94,8 @@ class BaseSurface(_BaseSurfaceFields):
     __slots__ = ()
 
     def __new__(cls, genus: int, orientable: bool = True):
-        if genus < 0:
-            raise ValueError("genus must be non-negative")
-        if not orientable and genus == 0:
-            raise ValueError("non-orientable base surface needs genus >= 1")
+        if problem := _base_problem(genus, orientable):
+            raise ValueError(problem)
         return super().__new__(cls, genus, orientable)
 
     @classmethod
@@ -110,10 +126,8 @@ class SeifertInvariants(_SeifertFields):
     def __new__(cls, base: BaseSurface, pairs=(), b: int = 0):
         pairs, tally = _int_pairs(pairs)
         for q, p in tally:
-            if q < 1:
-                raise ValueError(f"fiber order must be positive in ({q},{p})")
-            if math.gcd(p, q) != 1:
-                raise ValueError(f"non-coprime pair ({q},{p})")
+            if problem := _pair_problem(q, p):
+                raise ValueError(problem)
         self = super().__new__(cls, base, pairs, b)
         object.__setattr__(self, "tally", tally)
         return self
@@ -225,8 +239,8 @@ def parse_seifert(text: str) -> SeifertInvariants:
     s.expect("(")
     genus_pos = s.next_pos()
     genus = s.integer()
-    if genus < 0:
-        raise SeifertParseError("genus must be non-negative", genus_pos)
+    if problem := _base_problem(genus):
+        raise SeifertParseError(problem, genus_pos)
     s.expect(",")
     base_pos = s.next_pos()
     if s.try_consume("o1"):
@@ -235,8 +249,8 @@ def parse_seifert(text: str) -> SeifertInvariants:
         orientable = False
     else:
         raise SeifertParseError("expected base 'o1' or 'n1'", base_pos)
-    if not orientable and genus == 0:
-        raise SeifertParseError("non-orientable base surface needs genus >= 1", genus_pos)
+    if problem := _base_problem(genus, orientable):
+        raise SeifertParseError(problem, genus_pos)
     s.expect("|")
     pairs: list[tuple[int, int]] = []
     more = not s.peek(")")
@@ -255,10 +269,8 @@ def parse_seifert(text: str) -> SeifertInvariants:
             q, p = _integer(m[2], m.start(2)), _integer(m[3], m.start(3))
             s.pos = m.end()
             more = m[4] == ","
-        if q < 1:
-            raise SeifertParseError(f"fiber order must be positive in ({q},{p})", pair_pos)
-        if math.gcd(p, q) != 1:
-            raise SeifertParseError(f"non-coprime pair ({q},{p})", pair_pos)
+        if problem := _pair_problem(q, p):
+            raise SeifertParseError(problem, pair_pos)
         pairs.append((q, p))
     s.expect(")")
     if not s.at_end():

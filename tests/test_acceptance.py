@@ -10,7 +10,6 @@ from pathlib import Path
 
 from seifinv import (
     BaseSurface,
-    ExtensionConstraint,
     FillingSlope,
     IntMatrix2,
     SeifertInvariants,
@@ -28,11 +27,10 @@ from seifinv import (
     orbifold_euler_characteristic,
     parse_seifert,
     print_seifert,
-    solve_boundary_involutions,
     verify_v221_construction,
 )
 from seifinv.cli import run
-from util import coprime_pair, random_descriptor, v221_unit_tampers
+from util import coprime_pair, inverse, random_descriptor, v221_unit_tampers
 
 GOLDEN = Path(__file__).parent / "data" / "enumerate_gmax3_nmax8.txt"
 
@@ -99,14 +97,15 @@ def test_criterion_3_extension_conditions():
 
 
 def test_criterion_4_constraint_solver_uniqueness():
+    # The filling-frame systems of the two slope families: fix v_fix up to a
+    # sign eps and negate v_flip up to the same eps, each with the gluing G
+    # that carries the frame to the outer framing of its slope.
     systems = [
-        (((-2, 1), (0, 1)), pm(IntMatrix2(1, 0, -1, -1))),
-        (((1, 0), (0, 1)), pm(IntMatrix2(1, 0, 0, -1))),
+        ((-2, 1), (0, 1), IntMatrix2(0, 1, 1, 2), FillingSlope(1, 2), pm(IntMatrix2(1, 0, -1, -1))),
+        ((1, 0), (0, 1), IntMatrix2(-1, 0, 0, 1), FillingSlope(0, 1), pm(IntMatrix2(1, 0, 0, -1))),
     ]
     ok = True
-    for (v_fix, v_flip), expected in systems:
-        ok &= solve_boundary_involutions(ExtensionConstraint(v_fix, v_flip)) == expected
-
+    for v_fix, v_flip, G, slope, expected in systems:
         # Independent exhaustive search over the entry window [-4, 4].
         brute = set()
         rng = range(-4, 5)
@@ -128,7 +127,11 @@ def test_criterion_4_constraint_solver_uniqueness():
                             if fix_ok and flip_ok:
                                 brute.add(IntMatrix2(a, b, c, d))
         ok &= brute == set(expected)
-    _report(4, ok, "boundary constraint systems have exactly the +- solution pairs")
+        carried = {mat_mul(mat_mul(G, A), inverse(G)) for A in brute}
+        ok &= carried == set(extension_condition(slope))
+    _report(
+        4, ok, "filling-frame systems have exactly the +- pairs; glued, they are the extension conditions"
+    )
 
 
 def test_criterion_5_v221_verification():

@@ -5,7 +5,6 @@ import pytest
 
 from seifinv import (
     IDENTITY,
-    ExtensionConstraint,
     FillingSlope,
     IntMatrix2,
     UnsupportedSlopeError,
@@ -33,11 +32,42 @@ def carried(A, G):
 
 def hand_frame(slope):
     """Filling-torus constraint vectors and gluing matrix, derived by hand for
-    the two supported families.  The library solves in the outer framing
+    the two supported families.  The library answers in the outer framing
     with no frame; these are an independent route to the same answer."""
     if (slope.m, slope.l) == (1, 2):
         return (-2, 1), (0, 1), IntMatrix2(0, 1, 1, 2)
     return (1, 0), (0, 1), IntMatrix2(-1, slope.m, 0, 1)
+
+
+def frame_solutions(v_fix, v_flip):
+    """Every A in GL2(Z) with entries in [-2, 2] that fixes v_fix up to a
+    sign eps and negates v_flip up to the same eps, by exhaustive search.
+
+    The two vectors of a hand-derived frame are independent, so each eps
+    allows at most one A; two solutions in the window are all of them.
+    """
+    window = range(-2, 3)
+    found = frozenset(
+        IntMatrix2(a, b, c, d)
+        for a, b, c, d in itertools.product(window, repeat=4)
+        if abs(a * d - b * c) == 1
+        for eps in (1, -1)
+        if (a * v_fix[0] + b * v_fix[1], c * v_fix[0] + d * v_fix[1])
+        == (eps * v_fix[0], eps * v_fix[1])
+        and (a * v_flip[0] + b * v_flip[1], c * v_flip[0] + d * v_flip[1])
+        == (-eps * v_flip[0], -eps * v_flip[1])
+    )
+    assert len(found) == 2, (v_fix, v_flip)
+    return found
+
+
+def slopes_in(m_max, l_max):
+    return {
+        FillingSlope(m, l)
+        for m in range(-m_max, m_max + 1)
+        for l in range(0, l_max + 1)
+        if math.gcd(m, l) == 1
+    }
 
 
 def fiber_sign_members(sign):
@@ -69,7 +99,7 @@ class TestInducedFillingFrame:
         assert (G.a * fx + G.b * fy, G.c * fx + G.d * fy) in ((1, 0), (-1, 0))
         pushed_flip = (G.a * lx + G.b * ly, G.c * lx + G.d * ly)
         assert pushed_flip in ((slope.m, slope.l), (-slope.m, -slope.l))
-        sols = solve_boundary_involutions(ExtensionConstraint(v_fix, v_flip))
+        sols = frame_solutions(v_fix, v_flip)
         assert frozenset(carried(A, G) for A in sols) == extension_condition(slope)
 
     def test_one_two_family(self):
@@ -90,64 +120,35 @@ class TestInducedFillingFrame:
 
 class TestSolveBoundaryInvolutions:
     def test_meridian_minus_two_one(self):
-        got = solve_boundary_involutions(ExtensionConstraint((-2, 1), (0, 1)))
-        assert got == pm(IntMatrix2(1, 0, -1, -1))
+        sols = frame_solutions((-2, 1), (0, 1))
+        assert sols == pm(IntMatrix2(1, 0, -1, -1))
+        carried_sols = frozenset(carried(A, IntMatrix2(0, 1, 1, 2)) for A in sols)
+        assert carried_sols == solve_boundary_involutions(FillingSlope(1, 2))
 
     def test_meridian_one_zero(self):
-        got = solve_boundary_involutions(ExtensionConstraint((1, 0), (0, 1)))
-        assert got == pm(IntMatrix2(1, 0, 0, -1))
+        sols = frame_solutions((1, 0), (0, 1))
+        assert sols == pm(IntMatrix2(1, 0, 0, -1))
+        carried_sols = frozenset(carried(A, IntMatrix2(-1, 0, 0, 1)) for A in sols)
+        assert carried_sols == solve_boundary_involutions(FillingSlope(0, 1))
 
     def test_contradictory_constraints(self):
-        assert solve_boundary_involutions(ExtensionConstraint((1, 0), (1, 0))) == frozenset()
+        # The meridian (1,0) is the fiber: it cannot be fixed and negated.
+        assert solve_boundary_involutions(FillingSlope(1, 0)) == frozenset()
 
     def test_solutions_are_involutions(self):
-        vectors = [(1, 0), (0, 1), (-2, 1), (1, 2), (3, -1), (1, 1)]
-        for vf in vectors:
-            for vl in vectors:
-                for A in solve_boundary_involutions(ExtensionConstraint(vf, vl)):
-                    assert is_involution(A)
-                    assert abs(mat_det(A)) == 1
+        for slope in slopes_in(8, 4):
+            for A in solve_boundary_involutions(slope):
+                assert is_involution(A)
+                assert abs(mat_det(A)) == 1
 
     def test_every_integral_solution_has_determinant_minus_one(self):
-        # A P = Q_eps and det Q_eps = -det P, so det A = -1 whenever
-        # Q_eps adj(P) / det P is integral: the solver needs no |det A| = 1 test.
-        vectors = [(a, b) for a in range(-5, 6) for b in range(-5, 6) if math.gcd(a, b) == 1]
+        # A = eps [[1, -2m/l], [0, -1]], so det A = -eps^2 = -1.
+        slopes = slopes_in(12, 6)
         determinants = [
-            mat_det(A)
-            for vf, vl in itertools.product(vectors, repeat=2)
-            for A in solve_boundary_involutions(ExtensionConstraint(vf, vl))
+            mat_det(A) for slope in slopes for A in solve_boundary_involutions(slope)
         ]
-        assert set(determinants) == {-1} and len(determinants) == 1824
-
-    def test_general_constraints_match_brute_force_window(self):
-        # Every pair of primitive vectors with entries in [-2, 2], v_fix not
-        # (1, 0), spanning a sublattice of index |det P| in {1, 2, 3}.  A
-        # solution satisfies A P = Q_eps, so A = Q_eps P^-1 and each entry is
-        # at most (2*2 + 2*2) / |det P| <= 8 in size: the window holds them all.
-        window = range(-8, 9)
-        unimodular = [
-            t for t in itertools.product(window, repeat=4) if abs(t[0] * t[3] - t[1] * t[2]) == 1
-        ]
-        vectors = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if math.gcd(a, b) == 1]
-        seen = {1: 0, 2: 0, 3: 0}
-        for vf, vl in itertools.product(vectors, repeat=2):
-            index = abs(vf[0] * vl[1] - vf[1] * vl[0])
-            if vf == (1, 0) or index not in seen:
-                continue
-            seen[index] += 1
-            brute = frozenset(
-                IntMatrix2(a, b, c, d)
-                for a, b, c, d in unimodular
-                for eps in (1, -1)
-                if (a * vf[0] + b * vf[1], c * vf[0] + d * vf[1]) == (eps * vf[0], eps * vf[1])
-                and (a * vl[0] + b * vl[1], c * vl[0] + d * vl[1]) == (-eps * vl[0], -eps * vl[1])
-            )
-            assert solve_boundary_involutions(ExtensionConstraint(vf, vl)) == brute, (vf, vl)
-            # For an involution A, 2x = (x + Ax) + (x - Ax) splits 2x into the
-            # two eigenlattices, so they span a sublattice of index 1 or 2:
-            # index 3 has no solution.
-            assert len(brute) == (2 if index < 3 else 0), (vf, vl)
-        assert seen == {1: 94, 2: 36, 3: 48}
+        answered = sum(slope.l in (1, 2) for slope in slopes)
+        assert set(determinants) == {-1} and len(determinants) == 2 * answered == 74
 
 
 class TestTransport:
@@ -189,24 +190,21 @@ class TestExtensionCondition:
     def test_transport_of_solutions_equals_condition(self):
         for slope in (FillingSlope(1, 2), FillingSlope(2, 1), FillingSlope(-3, 1)):
             v_fix, v_flip, G = hand_frame(slope)
-            sols = solve_boundary_involutions(ExtensionConstraint(v_fix, v_flip))
+            sols = frame_solutions(v_fix, v_flip)
             assert frozenset(carried(A, G) for A in sols) == extension_condition(slope)
 
     def test_matches_brute_force_window(self):
-        # Every unimodular matrix with entries in [-6, 6], which holds the
-        # entry -2m of every solution for |m| <= 3.
-        window = range(-6, 7)
+        # Every unimodular matrix with first-column entries in [-2, 2] and
+        # second-column entries in [-32, 32], which holds the entry -2m/l of
+        # every solution for |m| <= 16.
         unimodular = [
-            IntMatrix2(*t) for t in itertools.product(window, repeat=4)
-            if abs(t[0] * t[3] - t[1] * t[2]) == 1
+            IntMatrix2(a, b, c, d)
+            for a, c in itertools.product(range(-2, 3), repeat=2)
+            for b, d in itertools.product(range(-32, 33), repeat=2)
+            if abs(a * d - b * c) == 1
         ]
-        slopes = {
-            FillingSlope(m, l)
-            for m in range(-3, 4)
-            for l in range(0, 5)
-            if math.gcd(m, l) == 1
-        }
-        assert len(slopes) == 20
+        slopes = slopes_in(16, 8)
+        assert len(slopes) == 168
         for slope in slopes:
             m, l = slope.m, slope.l
             brute = frozenset(
@@ -216,7 +214,7 @@ class TestExtensionCondition:
                 if (A.a, A.c) == (eps, 0)
                 and (A.a * m + A.b * l, A.c * m + A.d * l) == (-eps * m, -eps * l)
             )
-            assert solve_boundary_involutions(ExtensionConstraint((1, 0), (m, l))) == brute
+            assert solve_boundary_involutions(slope) == brute, slope
             if l not in (1, 2):
                 assert brute == frozenset(), slope
             if l == 1 or (m, l) == (1, 2):
@@ -228,12 +226,9 @@ class TestExtensionCondition:
     def test_solver_answers_exactly_when_l_is_one_or_two(self):
         # A solution has top-right entry b with l b = -2 eps m and gcd(m, l) = 1,
         # so l divides 2; l = 0 makes the fiber and the meridian parallel.
-        for m in range(-50, 51):
-            for l in range(0, 51):
-                if math.gcd(m, l) != 1:
-                    continue
-                got = solve_boundary_involutions(ExtensionConstraint((1, 0), (m, l)))
-                assert bool(got) == (l in (1, 2)), (m, l)
+        for slope in slopes_in(50, 50):
+            got = solve_boundary_involutions(slope)
+            assert bool(got) == (slope.l in (1, 2)), slope
 
 
 class TestCheckExtends:

@@ -29,8 +29,8 @@ LAYERS = (admissibility, census, filling, invariants, surfaces, torus_mcg)
 # The public names of the package, as the eager star-imports exported them.
 PUBLIC = [
     "AdmissibilityReport", "BaseSurface", "CensusReport", "CensusScopeError", "ClassCount",
-    "ConstructionReport", "DoubleCoverReport", "ExtensionConstraint", "FactorizationRecord",
-    "FillingSlope", "FixedPointData", "GeometryType", "IDENTITY", "IntMatrix2",
+    "ConstructionReport", "DoubleCoverReport", "FactorizationRecord", "FillingSlope",
+    "FixedPointData", "GeometryType", "IDENTITY", "IntMatrix2",
     "InvolutionClassLabel", "InvolutionKind", "SeifertInvariants", "SeifertParseError",
     "SurfaceInvolutionClass", "UnsupportedSlopeError", "Violation", "check_admissible",
     "classes_for_genus", "count_classes", "enumerate_admissible", "enumerate_factorizations",

@@ -9,7 +9,6 @@ import pytest
 
 from seifinv import (
     BaseSurface,
-    ExtensionConstraint,
     FactorizationRecord,
     FillingSlope,
     IntMatrix2,
@@ -36,7 +35,6 @@ CONSTRUCTIONS = [
         {"base": BaseSurface(0), "pairs": ((2, 1), (2, 1)), "b": -1},
     ),
     (FillingSlope, (3, 1), {"m": 3, "l": 1}),
-    (ExtensionConstraint, ((1, 0), (1, 2)), {"v_fix": (1, 0), "v_flip": (1, 2)}),
     (
         FactorizationRecord,
         ("reversed", SPIT00, 2),
@@ -72,8 +70,6 @@ REFUSALS = [
     (FillingSlope, (0, 0), "slope (0,0) does not name a curve"),
     (FillingSlope, (2, 4), "slope (2,4) is not primitive"),
     (FillingSlope, (-3, 0), "slope (-3,0) is not primitive"),
-    (ExtensionConstraint, ((0, 0), (1, 2)), "constraint vector (0, 0) must be primitive"),
-    (ExtensionConstraint, ((1, 0), (2, 4)), "constraint vector (2, 4) must be primitive"),
     (FactorizationRecord, ("sideways", SPIT00, 0), "unknown fiber orientation 'sideways'"),
     (FactorizationRecord, ("preserved", SPIT00, -1), "fixed boundary count must be non-negative"),
     (SurfaceInvolutionClass, (ID, -1), "genus and r must be non-negative"),
@@ -140,12 +136,6 @@ REPLACEMENTS = [
         "non-coprime pair (4,2)",
     ),
     (FillingSlope(1, 2), {"l": -4}, {"m": 2}, "slope (2,2) is not primitive"),
-    (
-        ExtensionConstraint((1, 0), (1, 2)),
-        {"v_flip": (3, 1)},
-        {"v_fix": (2, 4)},
-        "constraint vector (2, 4) must be primitive",
-    ),
     (
         FactorizationRecord("reversed", SPIT00, 2),
         {"fixed_boundary_count": 0},
