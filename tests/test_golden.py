@@ -1,4 +1,4 @@
-"""Golden outputs of all eleven CLI commands.
+"""Golden outputs of all eleven CLI commands, and of the descriptor parser.
 
 Every case is replayed through ``cli.run`` and must reproduce the recorded
 status, exit code and message byte for byte, in text and ``--json`` modes,
@@ -6,8 +6,11 @@ including the parse and domain errors.  argparse's own output (the help of
 every parser and one usage error per command) is replayed through
 ``cli.main`` and must reproduce stdout, stderr and the exit code byte for
 byte, at 80 columns.  argparse's layout differs between Python minor
-versions; the file was recorded with Python 3.11.  The expected data in
-``data/golden_cli.json`` and ``data/golden_help.json`` is regenerated with::
+versions; the file was recorded with Python 3.11.  ``parse_seifert`` is
+replayed on seeded malformed and edge-case texts and must reproduce each
+parsed descriptor, or each refusal with its position.  The expected data in
+``data/golden_cli.json``, ``data/golden_help.json`` and
+``data/golden_parse.json`` is regenerated with::
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -20,11 +23,15 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from pathlib import Path
 
+import pytest
+
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 HELP_GOLDEN = GOLDEN.with_name("golden_help.json")
+PARSE_GOLDEN = GOLDEN.with_name("golden_parse.json")
 
 _DESCRIPTORS = [
     # one per case label
@@ -353,6 +360,119 @@ def _record_main(argv: list[str]) -> dict:
     return {"argv": argv, "exit_code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+# The least int/str digit limit Python accepts; the parse cases are recorded
+# and replayed under it, so an integer at the limit is 640 digits long.
+_PARSE_DIGIT_LIMIT = 640
+
+# Characters a one-character edit may insert or substitute: the grammar's
+# own, a letter, an Arabic-Indic digit (which \d and int accept) and ASCII
+# and Unicode whitespace.
+_EDIT_ALPHABET = "()|,-0123456789onx \t\u00a0\u2003\x1c\u0663"
+
+_UNICODE_SPACES = ("\u00a0", "\u2003", "\x1c")
+
+
+def _edited(rng: random.Random, text: str) -> str:
+    """``text`` after one to three seeded one-character edits: each deletes,
+    replaces or inserts a character at a random position."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(text))
+        op = rng.choice(("delete", "replace", "insert")) if at < len(text) else "insert"
+        char = rng.choice(_EDIT_ALPHABET)
+        if op == "delete":
+            text = text[:at] + text[at + 1 :]
+        elif op == "replace":
+            text = text[:at] + char + text[at + 1 :]
+        else:
+            text = text[:at] + char + text[at:]
+    return text
+
+
+def _spaced(rng: random.Random, text: str) -> str:
+    """``text`` with a run of seeded whitespace, Unicode spaces included,
+    before or after each character at random."""
+    out = []
+    for char in text:
+        out.append(char)
+        if rng.random() < 0.5:
+            out.append("".join(rng.choice(_UNICODE_SPACES + (" ", "\t")) for _ in range(rng.randint(1, 2))))
+    return "".join(out)
+
+
+# Refusals whose order matters: a domain check on a token read before a
+# missing one, and a missing token after a valid head or pair.
+_PARSE_EDGES = [
+    "(-1 x",
+    "(-1,n1|",
+    "(0,n1 x",
+    "(-0,o1|)",
+    "(0,o1|(-2,1) x",
+    "(0,o1|(0,1),(2,",
+    "(0,o1|(4,2)",
+    "(0,o1|(2,1)(2,1))",
+    "(0,o1|(2,1),,(2,1))",
+    "(0,o1|(2,1),)",
+    "(0,o1|) \u2003",
+    "(0,o1|)\u2003x",
+    "\u00a0",
+]
+
+
+def _parse_cases() -> list[str]:
+    """About 2,000 seeded parser inputs: edge cases, edits of valid
+    descriptors, Unicode whitespace, and integers at and one past the digit
+    limit."""
+    rng = random.Random(20261019)
+    valid = _DESCRIPTORS[: _DESCRIPTORS.index("(0,o1|(2,2))")]  # the parse errors follow
+    valid += [_random_descriptor(rng, n) for n in (0, 1, 2, 3, 4, 6, 9)]
+    texts = _PARSE_EDGES + [_edited(rng, rng.choice(valid)) for _ in range(1700)]
+    spaced = [_spaced(rng, rng.choice(valid)) for _ in range(60)]
+    texts += spaced + [_edited(rng, rng.choice(spaced)) for _ in range(140)]
+    for digits in (_PARSE_DIGIT_LIMIT, _PARSE_DIGIT_LIMIT + 1):
+        big = "9" * digits
+        for template in ("({},o1|)", "(0,o1|({},1))", "(0,o1|(2,{}))", "(0,o1|(2,-{}))",
+                         "(1,n1|(3,1),( {} ,1),(1,-1))", "(0,o1|(2,{}),(2,1)",
+                         "(0,o1|(2,{})", "(0,o1|(2,{}] x", "(0,o1|(-{},x))", "(0,o1|({},{})"):
+            text = template.format(big, big)
+            texts += [text] + [_edited(rng, text) for _ in range(4)]
+    return list(dict.fromkeys(texts))
+
+
+_PARSE_REFUSALS = [
+    "expected '('",
+    "expected an integer",
+    "expected ','",
+    "expected base 'o1' or 'n1'",
+    "expected '|'",
+    "expected ')'",
+    "unexpected trailing text",
+    "genus must be non-negative",
+    "non-orientable base surface needs genus >= 1",
+    "fiber order must be positive in",
+    "non-coprime pair",
+    f"integer longer than {_PARSE_DIGIT_LIMIT} digits",
+]
+
+
+def _record_parse(text: str) -> dict:
+    from seifinv import SeifertParseError, parse_seifert, print_seifert
+
+    try:
+        return {"text": text, "parsed": print_seifert(parse_seifert(text))}
+    except SeifertParseError as exc:
+        return {"text": text, "error": str(exc), "position": exc.position}
+
+
+@contextlib.contextmanager
+def _parse_digit_limit():
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_PARSE_DIGIT_LIMIT)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def test_golden_covers_every_case():
     assert [rec["argv"] for rec in _load()] == _cases()
 
@@ -375,6 +495,23 @@ def test_help_and_usage_match_golden(monkeypatch):
     assert mismatched == []
 
 
+def test_parse_golden_covers_every_case():
+    assert [rec["text"] for rec in json.loads(PARSE_GOLDEN.read_text())] == _parse_cases()
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int/str digit limit"
+)
+def test_parses_match_golden():
+    with _parse_digit_limit():
+        records = json.loads(PARSE_GOLDEN.read_text())
+        mismatched = [rec["text"] for rec in records if _record_parse(rec["text"]) != rec]
+    assert mismatched == []
+    # Valid parses and every refusal the parser makes occur among the cases.
+    outcomes = {re.sub(r" \(.*", "", rec.get("error", "parsed")) for rec in records}
+    assert outcomes == {"parsed", *_PARSE_REFUSALS}
+
+
 def test_golden_exercises_every_outcome():
     records = _load()
     assert {rec["exit_code"] for rec in records} == {0, 1, 2}
@@ -392,3 +529,7 @@ if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     GOLDEN.write_text(json.dumps([_record(a) for a in _cases()], indent=1) + "\n")
     HELP_GOLDEN.write_text(json.dumps([_record_main(a) for a in _help_cases()], indent=1) + "\n")
+    with _parse_digit_limit():
+        PARSE_GOLDEN.write_text(
+            json.dumps([_record_parse(t) for t in _parse_cases()], indent=1) + "\n"
+        )
