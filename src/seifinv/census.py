@@ -101,13 +101,15 @@ def _require_admissible(
 def enumerate_factorizations(M: SeifertInvariants) -> CensusReport:
     """Conjugacy cases of reversing involutions for an admissible genus-0 base.
 
-    The six records are the paper's case analysis, stated rather than
-    derived: the factor is spit(0,0) when it preserves fiber orientation and
-    refl(0,0) or anti(0,0) when it reverses it, and each fixes either none
-    or two of the marked points.  No factor acts as the identity on the
-    base, so none is excluded.  Non-product manifolds with two or four
-    marked points are in scope and get the same six records; higher genus
-    and larger censuses are refused rather than guessed.
+    The factor is one of the non-identity classes of the genus-0 surface
+    catalog, spit(0,0), refl(0,0) and anti(0,0); it preserves fiber
+    orientation exactly when its class preserves the orientation of the
+    base.  The identity class is filtered out because no factor acts as the
+    identity on the base.  The fixed counts are the paper's case analysis,
+    stated rather than derived: each class fixes either none or two of the
+    marked points, six records in all.  Non-product manifolds with two or
+    four marked points are in scope and get the same six records; higher
+    genus and larger censuses are refused rather than guessed.
     """
     N = _require_admissible(M).normalized
     if N.base.genus != 0:
@@ -121,14 +123,10 @@ def enumerate_factorizations(M: SeifertInvariants) -> CensusReport:
         raise CensusScopeError(
             "marked-point case analysis covers two or four order-2 fibers only"
         )
-    factor_classes = (
-        (PRESERVED, surfaces.SurfaceInvolutionClass(surfaces.InvolutionKind.SPIT, 0, 0)),
-        (REVERSED, surfaces.SurfaceInvolutionClass(surfaces.InvolutionKind.REFL, 0, 0)),
-        (REVERSED, surfaces.SurfaceInvolutionClass(surfaces.InvolutionKind.ANTI, 0, 0)),
-    )
     records = tuple(
-        FactorizationRecord(orientation, cls, fixed)
-        for orientation, cls in factor_classes
+        FactorizationRecord(PRESERVED if cls.orientation_preserving else REVERSED, cls, fixed)
+        for cls in surfaces.classes_for_genus(0)
+        if cls.kind is not surfaces.InvolutionKind.ID
         for fixed in (0, 2)
     )
     return CensusReport(N, records)

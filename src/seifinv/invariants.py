@@ -167,61 +167,50 @@ def _int_pairs(pairs) -> tuple[tuple[tuple[int, int], ...], Counter]:
     return pairs, Counter(pairs)
 
 
-_INT_RE = re.compile(r"-?\d+")
-# One exceptional pair and the comma after it, if any.  \s and \d match
-# exactly the code points str.isspace and str.isdecimal accept, so a pair
-# this pattern rejects is also rejected by the token walk.
-_PAIR_RE = re.compile(r"\s*(\()\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*(,?)")
+# The descriptor grammar as token tables, each token a regex and the name its
+# refusal gives it.  \s and \d match exactly the code points str.isspace and
+# str.isdecimal accept.
+_INT = (r"-?\d+", "an integer")
+_OPEN, _COMMA, _CLOSE = (r"\(", "'('"), (",", "','"), (r"\)", "')'")
+_HEAD = (_OPEN, _INT, _COMMA, ("o1|n1", "base 'o1' or 'n1'"), (r"\|", "'|'"))
+_PAIR = (_OPEN, _INT, _COMMA, _INT, _CLOSE)
+_TAIL = (_CLOSE,)
 
 
-def _integer(digits: str, pos: int) -> int:
-    """``int(digits)`` for a ``-?\\d+`` token found at ``pos``."""
+def _reader(tokens) -> re.Pattern:
+    """A pattern that reads ``tokens`` in order, skipping whitespace before
+    each, and stops at the first token the text lacks: a match's
+    ``lastindex`` counts the tokens read, and its ``end()`` is where the
+    next token was due."""
+    pattern = ""
+    for regex, _ in reversed(tokens):
+        pattern = rf"(?:({regex})\s*{pattern})?"
+    return re.compile(r"\s*" + pattern)
+
+
+_HEAD_READER, _PAIR_READER, _TAIL_READER = map(_reader, (_HEAD, _PAIR, _TAIL))
+# One whole pair and the comma after it, if any: the same tokens, none
+# optional.  Reading a pair takes one match of this; only a pair it rejects
+# is read again, by _PAIR_READER, to find the refusal.
+_PAIR_RE = re.compile(r"\s*" + "".join(rf"({regex})\s*" for regex, _ in _PAIR) + r"(,?)\s*")
+
+
+def _expect(m: re.Match, tokens, count: int) -> None:
+    """Refuse unless the reader match ``m`` read the first ``count`` of
+    ``tokens``, naming the first one missing where it was due."""
+    read = m.lastindex or 0
+    if read < count:
+        raise SeifertParseError(f"expected {tokens[read][1]}", m.end())
+
+
+def _integer(m: re.Match, group: int) -> int:
+    """The ``-?\\d+`` token ``m`` read as ``group``, as an int."""
     try:
-        return int(digits)
+        return int(m[group])
     except ValueError:  # such a token converts unless it is past the digit limit
         raise SeifertParseError(
-            f"integer longer than {sys.get_int_max_str_digits()} digits", pos
+            f"integer longer than {sys.get_int_max_str_digits()} digits", m.start(group)
         ) from None
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def next_pos(self) -> int:
-        self._skip_ws()
-        return self.pos
-
-    def peek(self, token: str) -> bool:
-        self._skip_ws()
-        return self.text.startswith(token, self.pos)
-
-    def try_consume(self, token: str) -> bool:
-        if self.peek(token):
-            self.pos += len(token)
-            return True
-        return False
-
-    def expect(self, token: str) -> None:
-        if not self.try_consume(token):
-            raise SeifertParseError(f"expected {token!r}", self.pos)
-
-    def integer(self) -> int:
-        self._skip_ws()
-        m = _INT_RE.match(self.text, self.pos)
-        if m is None:
-            raise SeifertParseError("expected an integer", self.pos)
-        self.pos = m.end()
-        return _integer(m.group(), m.start())
-
-    def at_end(self) -> bool:
-        self._skip_ws()
-        return self.pos >= len(self.text)
 
 
 def parse_seifert(text: str) -> SeifertInvariants:
@@ -231,50 +220,41 @@ def parse_seifert(text: str) -> SeifertInvariants:
     (1, x) pair sets the obstruction term b.  Raises ``SeifertParseError``
     (carrying the failing position) for syntax errors, non-coprime pairs,
     non-positive fiber orders, and integers longer than
-    ``sys.get_int_max_str_digits()`` digits.  Each pair is read with one
-    regular-expression match; a pair it rejects is walked token by token,
-    which raises at the failing token.
+    ``sys.get_int_max_str_digits()`` digits.  The text is checked in
+    reading order, and the first failure is the one refused: a missing
+    token is named where it was due, after any whitespace.
     """
-    s = _Scanner(text)
-    s.expect("(")
-    genus_pos = s.next_pos()
-    genus = s.integer()
+    m = _HEAD_READER.match(text)
+    _expect(m, _HEAD, 2)
+    genus = _integer(m, 2)
     if problem := _base_problem(genus):
-        raise SeifertParseError(problem, genus_pos)
-    s.expect(",")
-    base_pos = s.next_pos()
-    if s.try_consume("o1"):
-        orientable = True
-    elif s.try_consume("n1"):
-        orientable = False
-    else:
-        raise SeifertParseError("expected base 'o1' or 'n1'", base_pos)
+        raise SeifertParseError(problem, m.start(2))
+    _expect(m, _HEAD, 4)
+    orientable = m[4] == "o1"
     if problem := _base_problem(genus, orientable):
-        raise SeifertParseError(problem, genus_pos)
-    s.expect("|")
+        raise SeifertParseError(problem, m.start(2))
+    _expect(m, _HEAD, 5)
+    pos = m.end()
     pairs: list[tuple[int, int]] = []
-    more = not s.peek(")")
+    more = not text.startswith(")", pos)
     while more:
-        m = _PAIR_RE.match(text, s.pos)
-        if m is None:
-            pair_pos = s.next_pos()
-            s.expect("(")
-            q = s.integer()
-            s.expect(",")
-            p = s.integer()
-            s.expect(")")
-            more = s.try_consume(",")
-        else:
-            pair_pos = m.start(1)
-            q, p = _integer(m[2], m.start(2)), _integer(m[3], m.start(3))
-            s.pos = m.end()
-            more = m[4] == ","
+        m = _PAIR_RE.match(text, pos)
+        if m is None:  # refused: q, ',', p and ')' are checked in that order
+            m = _PAIR_READER.match(text, pos)
+            for count in (2, 4):
+                _expect(m, _PAIR, count)
+                _integer(m, count)
+            _expect(m, _PAIR, 5)  # raises: _PAIR_RE matches a whole pair
+        q, p = _integer(m, 2), _integer(m, 4)
         if problem := _pair_problem(q, p):
-            raise SeifertParseError(problem, pair_pos)
+            raise SeifertParseError(problem, m.start(1))
         pairs.append((q, p))
-    s.expect(")")
-    if not s.at_end():
-        raise SeifertParseError("unexpected trailing text", s.next_pos())
+        pos = m.end()
+        more = m[6] == ","
+    m = _TAIL_READER.match(text, pos)
+    _expect(m, _TAIL, 1)
+    if m.end() < len(text):
+        raise SeifertParseError("unexpected trailing text", m.end())
     b = 0
     if pairs and pairs[-1][0] == 1:
         b = pairs.pop()[1]

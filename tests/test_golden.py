@@ -391,11 +391,12 @@ def _edited(rng: random.Random, text: str) -> str:
 def _spaced(rng: random.Random, text: str) -> str:
     """``text`` with a run of seeded whitespace, Unicode spaces included,
     before or after each character at random."""
+    spaces = _UNICODE_SPACES + (" ", "\t")
     out = []
     for char in text:
         out.append(char)
         if rng.random() < 0.5:
-            out.append("".join(rng.choice(_UNICODE_SPACES + (" ", "\t")) for _ in range(rng.randint(1, 2))))
+            out.append("".join(rng.choice(spaces) for _ in range(rng.randint(1, 2))))
     return "".join(out)
 
 
@@ -418,6 +419,21 @@ _PARSE_EDGES = [
 ]
 
 
+# Descriptors whose integer slots are filled at and one past the digit limit.
+_LONG_INTEGER_TEMPLATES = [
+    "({},o1|)",
+    "(0,o1|({},1))",
+    "(0,o1|(2,{}))",
+    "(0,o1|(2,-{}))",
+    "(1,n1|(3,1),( {} ,1),(1,-1))",
+    "(0,o1|(2,{}),(2,1)",
+    "(0,o1|(2,{})",
+    "(0,o1|(2,{}] x",
+    "(0,o1|(-{},x))",
+    "(0,o1|({},{})",
+]
+
+
 def _parse_cases() -> list[str]:
     """About 2,000 seeded parser inputs: edge cases, edits of valid
     descriptors, Unicode whitespace, and integers at and one past the digit
@@ -430,9 +446,7 @@ def _parse_cases() -> list[str]:
     texts += spaced + [_edited(rng, rng.choice(spaced)) for _ in range(140)]
     for digits in (_PARSE_DIGIT_LIMIT, _PARSE_DIGIT_LIMIT + 1):
         big = "9" * digits
-        for template in ("({},o1|)", "(0,o1|({},1))", "(0,o1|(2,{}))", "(0,o1|(2,-{}))",
-                         "(1,n1|(3,1),( {} ,1),(1,-1))", "(0,o1|(2,{}),(2,1)",
-                         "(0,o1|(2,{})", "(0,o1|(2,{}] x", "(0,o1|(-{},x))", "(0,o1|({},{})"):
+        for template in _LONG_INTEGER_TEMPLATES:
             text = template.format(big, big)
             texts += [text] + [_edited(rng, text) for _ in range(4)]
     return list(dict.fromkeys(texts))
@@ -510,6 +524,23 @@ def test_parses_match_golden():
     # Valid parses and every refusal the parser makes occur among the cases.
     outcomes = {re.sub(r" \(.*", "", rec.get("error", "parsed")) for rec in records}
     assert outcomes == {"parsed", *_PARSE_REFUSALS}
+
+
+def test_strict_pair_pattern_matches_where_the_reader_reads_a_whole_pair():
+    """At every position of every parse case, the one-match pair pattern
+    matches exactly where the pair reader reads all five tokens, and both
+    read the same tokens at the same places."""
+    from seifinv.invariants import _PAIR_RE, _PAIR_READER
+
+    whole = 0
+    for text in _parse_cases():
+        for pos in range(len(text) + 1):
+            strict, read = _PAIR_RE.match(text, pos), _PAIR_READER.match(text, pos)
+            assert (strict is not None) == (read.lastindex == 5), (text, pos)
+            if strict is not None:
+                whole += 1
+                assert [strict.span(k) for k in range(1, 6)] == [read.span(k) for k in range(1, 6)]
+    assert whole > 1000
 
 
 def test_golden_exercises_every_outcome():
