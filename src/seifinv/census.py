@@ -133,19 +133,18 @@ def enumerate_factorizations(M: SeifertInvariants) -> CensusReport:
 
 
 def fiber_flip_conjugacy_check(
-    M: SeifertInvariants, trials: int, report: AdmissibilityReport | None = None
+    M: SeifertInvariants, report: AdmissibilityReport | None = None
 ) -> bool:
     """Validate the fiber-flip data of ``M``; inadmissible input is refused
     with its violations named.
 
     Every V(2,2;-1) block of the base-trivial fiber flip carries the same
-    boundary data, so for ``trials >= 1`` the verdict is one run of the
-    V(2,2;-1) validator, whatever the trial count.  ``trials < 1`` passes
-    vacuously.  A caller that already holds ``check_admissible(M)`` passes
-    it as ``report``, and admissibility is not decided a second time.
+    boundary data, so the verdict is one run of the V(2,2;-1) validator.  A
+    caller that already holds ``check_admissible(M)`` passes it as
+    ``report``, and admissibility is not decided a second time.
     """
     _require_admissible(M, report)
-    return trials < 1 or filling.verify_v221_construction().passed
+    return filling.verify_v221_construction().passed
 
 
 class DoubleCoverReport(NamedTuple):

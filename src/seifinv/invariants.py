@@ -94,6 +94,7 @@ class BaseSurface(_BaseSurfaceFields):
     __slots__ = ()
 
     def __new__(cls, genus: int, orientable: bool = True):
+        genus = int(genus)
         if problem := _base_problem(genus, orientable):
             raise ValueError(problem)
         return super().__new__(cls, genus, orientable)
@@ -117,6 +118,9 @@ class _SeifertFields(NamedTuple):
 class SeifertInvariants(_SeifertFields):
     """Descriptor (g, o1 | (q1,p1), ..., (1,b)) with exact integer data.
 
+    ``b`` and the pair entries are stored as ``int(...)`` of what is given,
+    as the genus of a ``BaseSurface`` is.
+
     ``tally`` maps each distinct pair to its multiplicity, in first-seen
     order; the invariants are computed from it, once per distinct pair.  It
     is derived from ``pairs`` and kept outside the tuple, so it takes no part
@@ -128,7 +132,7 @@ class SeifertInvariants(_SeifertFields):
         for q, p in tally:
             if problem := _pair_problem(q, p):
                 raise ValueError(problem)
-        self = super().__new__(cls, base, pairs, b)
+        self = super().__new__(cls, base, pairs, int(b))
         object.__setattr__(self, "tally", tally)
         return self
 

@@ -12,12 +12,10 @@ from enum import Enum
 from typing import NamedTuple
 
 __all__ = [
-    "ClassCount",
     "FixedPointData",
     "InvolutionKind",
     "SurfaceInvolutionClass",
     "classes_for_genus",
-    "count_classes",
     "fixed_point_data",
 ]
 
@@ -115,22 +113,6 @@ def classes_for_genus(g: int, selection: str = "all") -> list[SurfaceInvolutionC
     if selection == "all":
         return preserving + reversing
     raise ValueError(f"unknown selection {selection!r}")
-
-
-class ClassCount(NamedTuple):
-    preserving: int
-    reversing: int
-    total: int
-
-
-def count_classes(g: int) -> ClassCount:
-    """Counts from the explicit list, cross-checked against the closed forms
-    2 + ceil(g/2), 2 + g + floor(g/2), and 4 + 2g."""
-    p = len(classes_for_genus(g, "preserving"))
-    r = len(classes_for_genus(g, "reversing"))
-    if p != 2 + (g + 1) // 2 or r != 2 + g + g // 2 or p + r != 4 + 2 * g:
-        raise RuntimeError(f"class list and closed-form counts disagree at genus {g}")
-    return ClassCount(p, r, p + r)
 
 
 def fixed_point_data(c: SurfaceInvolutionClass) -> FixedPointData:

@@ -78,24 +78,21 @@ class TestEnumerateFactorizations:
 
 
 class TestFiberFlipConjugacy:
-    def test_flat_manifold_many_trials(self):
-        assert fiber_flip_conjugacy_check(FLAT, trials=100)
-
-    def test_zero_trials_vacuous(self):
-        assert fiber_flip_conjugacy_check(FLAT, trials=0)
+    def test_flat_manifold_passes(self):
+        assert fiber_flip_conjugacy_check(FLAT)
+        assert fiber_flip_conjugacy_check(FLAT, check_admissible(FLAT))
 
     def test_inadmissible_refused(self):
         bad = M(0, [(2, 1), (2, 1)])
-        for trials in (0, 1):
-            with pytest.raises(ValueError, match=r"admits no reversing involution \(NonzeroEuler, WrongBTerm\)$"):
-                fiber_flip_conjugacy_check(bad, trials)
+        with pytest.raises(ValueError, match=r"admits no reversing involution \(NonzeroEuler, WrongBTerm\)$"):
+            fiber_flip_conjugacy_check(bad)
 
     # psi-check reads its verdict from the one V(2,2;-1) validator: bound to
-    # tampered data, it must fail for every positive trial count.
+    # tampered data, it must fail.
     def test_tampered_descriptor_fails(self, monkeypatch):
         bad = (IntMatrix2(-1, 2, 0, 1), IntMatrix2(-1, -2, 0, 1), IntMatrix2(-1, 1, 0, 1))
         monkeypatch.setattr(filling, "verify_v221_construction", partial(verify_v221_construction, bad))
-        assert not fiber_flip_conjugacy_check(FLAT, trials=5)
+        assert not fiber_flip_conjugacy_check(FLAT)
 
     @pytest.mark.parametrize("manifold", [FLAT, EIGHT], ids=["4-fiber", "8-fiber"])
     def test_every_unit_tamper_fails(self, manifold, monkeypatch):
@@ -104,9 +101,7 @@ class TestFiberFlipConjugacy:
         for inner, outer in tampers:
             validator = partial(verify_v221_construction, inner, outer)
             monkeypatch.setattr(filling, "verify_v221_construction", validator)
-            for trials in (1, 3, 17):
-                assert not fiber_flip_conjugacy_check(manifold, trials)
-            assert fiber_flip_conjugacy_check(manifold, 0)
+            assert not fiber_flip_conjugacy_check(manifold)
 
 
 class TestLiftToDoubleCover:

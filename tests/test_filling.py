@@ -12,7 +12,6 @@ from seifinv import (
     is_involution,
     mat_det,
     mat_mul,
-    solve_boundary_involutions,
     verify_v221_construction,
 )
 from seifinv.filling import _induced_outer_action
@@ -70,6 +69,11 @@ def slopes_in(m_max, l_max):
     }
 
 
+def answered(slopes):
+    """The slopes ``extension_condition`` answers: (x,1) and (1,2)."""
+    return [slope for slope in slopes if slope.l == 1 or slope == (1, 2)]
+
+
 def fiber_sign_members(sign):
     """For each V(2,2;-1) filling, the member of its extension condition that
     sends the fiber class to ``sign`` times itself."""
@@ -119,36 +123,38 @@ class TestInducedFillingFrame:
 
 
 class TestSolveBoundaryInvolutions:
+    """The constraints fix the fiber class and negate the meridian, both up
+    to one sign; ``extension_condition`` returns their solutions."""
+
     def test_meridian_minus_two_one(self):
         sols = frame_solutions((-2, 1), (0, 1))
         assert sols == pm(IntMatrix2(1, 0, -1, -1))
         carried_sols = frozenset(carried(A, IntMatrix2(0, 1, 1, 2)) for A in sols)
-        assert carried_sols == solve_boundary_involutions(FillingSlope(1, 2))
+        assert carried_sols == extension_condition(FillingSlope(1, 2))
 
     def test_meridian_one_zero(self):
         sols = frame_solutions((1, 0), (0, 1))
         assert sols == pm(IntMatrix2(1, 0, 0, -1))
         carried_sols = frozenset(carried(A, IntMatrix2(-1, 0, 0, 1)) for A in sols)
-        assert carried_sols == solve_boundary_involutions(FillingSlope(0, 1))
+        assert carried_sols == extension_condition(FillingSlope(0, 1))
 
     def test_contradictory_constraints(self):
-        # The meridian (1,0) is the fiber: it cannot be fixed and negated.
-        assert solve_boundary_involutions(FillingSlope(1, 0)) == frozenset()
+        # The meridian (1,0) is the fiber: it cannot be fixed and negated, so
+        # no matrix extends and the slope is refused.
+        with pytest.raises(UnsupportedSlopeError, match=r"derived for slope \(1,0\)$"):
+            extension_condition(FillingSlope(1, 0))
 
     def test_solutions_are_involutions(self):
-        for slope in slopes_in(8, 4):
-            for A in solve_boundary_involutions(slope):
+        for slope in answered(slopes_in(8, 4)):
+            for A in extension_condition(slope):
                 assert is_involution(A)
                 assert abs(mat_det(A)) == 1
 
     def test_every_integral_solution_has_determinant_minus_one(self):
         # A = eps [[1, -2m/l], [0, -1]], so det A = -eps^2 = -1.
-        slopes = slopes_in(12, 6)
-        determinants = [
-            mat_det(A) for slope in slopes for A in solve_boundary_involutions(slope)
-        ]
-        answered = sum(slope.l in (1, 2) for slope in slopes)
-        assert set(determinants) == {-1} and len(determinants) == 2 * answered == 74
+        slopes = answered(slopes_in(12, 6))
+        determinants = [mat_det(A) for slope in slopes for A in extension_condition(slope)]
+        assert set(determinants) == {-1} and len(determinants) == 2 * len(slopes) == 52
 
 
 class TestTransport:
@@ -214,21 +220,25 @@ class TestExtensionCondition:
                 if (A.a, A.c) == (eps, 0)
                 and (A.a * m + A.b * l, A.c * m + A.d * l) == (-eps * m, -eps * l)
             )
-            assert solve_boundary_involutions(slope) == brute, slope
-            if l not in (1, 2):
-                assert brute == frozenset(), slope
+            # A solution has top-right entry b with l b = -2 eps m and
+            # gcd(m, l) = 1, so l divides 2; l = 0 makes the fiber and the
+            # meridian parallel.
+            assert len(brute) == (2 if l in (1, 2) else 0), slope
             if l == 1 or (m, l) == (1, 2):
-                assert len(brute) == 2 and extension_condition(slope) == brute, slope
+                assert extension_condition(slope) == brute, slope
             else:
                 with pytest.raises(UnsupportedSlopeError, match=r"derived for slope"):
                     extension_condition(slope)
 
-    def test_solver_answers_exactly_when_l_is_one_or_two(self):
-        # A solution has top-right entry b with l b = -2 eps m and gcd(m, l) = 1,
-        # so l divides 2; l = 0 makes the fiber and the meridian parallel.
-        for slope in slopes_in(50, 50):
-            got = solve_boundary_involutions(slope)
-            assert bool(got) == (slope.l in (1, 2)), slope
+    def test_answers_exactly_the_two_families(self):
+        slopes = slopes_in(50, 50)
+        kept = set(answered(slopes))
+        for slope in slopes:
+            if slope in kept:
+                assert len(extension_condition(slope)) == 2, slope
+            else:
+                with pytest.raises(UnsupportedSlopeError, match=r"derived for slope"):
+                    extension_condition(slope)
 
 
 class TestCheckExtends:

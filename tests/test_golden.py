@@ -491,8 +491,7 @@ def test_golden_covers_every_case():
     assert [rec["argv"] for rec in _load()] == _cases()
 
 
-def test_outputs_match_golden(monkeypatch):
-    monkeypatch.delenv("SEIFERT_SEED", raising=False)
+def test_outputs_match_golden():
     mismatched = [rec["argv"] for rec in _load() if _record(rec["argv"]) != rec]
     assert mismatched == []
 
@@ -556,7 +555,6 @@ def test_golden_exercises_every_outcome():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    os.environ.pop("SEIFERT_SEED", None)
     os.environ["COLUMNS"] = "80"
     GOLDEN.write_text(json.dumps([_record(a) for a in _cases()], indent=1) + "\n")
     HELP_GOLDEN.write_text(json.dumps([_record_main(a) for a in _help_cases()], indent=1) + "\n")

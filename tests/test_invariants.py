@@ -364,6 +364,17 @@ class TestValidation:
             assert [type(x) for pair in desc.pairs for x in pair] == [int] * 6
             assert type(desc.pairs) is tuple and all(type(pair) is tuple for pair in desc.pairs)
             assert desc.tally == Counter(expected)
+        # The genus and b follow the same rule.
+        for genus, b, text, admissible in (
+            (0, -1.0, "(0,o1|(2,1),(2,1),(1,-1))", True),
+            (1.5, -1, "(1,o1|(2,1),(2,1),(1,-1))", True),
+            (Order(0), True, "(0,o1|(2,1),(2,1),(1,1))", False),
+        ):
+            desc = SeifertInvariants(BaseSurface(genus), ((2, 1), (2, 1)), b)
+            assert type(desc.base.genus) is int and type(desc.b) is int
+            assert print_seifert(desc) == text
+            assert parse_seifert(text) == desc
+            assert check_admissible(desc).admissible is admissible
 
     def test_tally_outside_equality_hash_and_repr(self):
         a = M(0, [(2, 1)] * 4, -2)

@@ -28,16 +28,16 @@ LAYERS = (admissibility, census, filling, invariants, surfaces, torus_mcg)
 
 # The public names of the package, as the eager star-imports exported them.
 PUBLIC = [
-    "AdmissibilityReport", "BaseSurface", "CensusReport", "CensusScopeError", "ClassCount",
+    "AdmissibilityReport", "BaseSurface", "CensusReport", "CensusScopeError",
     "ConstructionReport", "DoubleCoverReport", "FactorizationRecord", "FillingSlope",
     "FixedPointData", "GeometryType", "IDENTITY", "IntMatrix2",
     "InvolutionClassLabel", "InvolutionKind", "SeifertInvariants", "SeifertParseError",
     "SurfaceInvolutionClass", "UnsupportedSlopeError", "Violation", "check_admissible",
-    "classes_for_genus", "count_classes", "enumerate_admissible", "enumerate_factorizations",
+    "classes_for_genus", "enumerate_admissible", "enumerate_factorizations",
     "euler_number", "extension_condition", "fiber_flip_conjugacy_check", "find_conjugator",
     "fixed_point_data", "involution_class", "is_involution", "lift_to_double_cover", "mat_det",
     "mat_mul", "normalize", "orbifold_euler_characteristic", "parse_seifert", "print_seifert",
-    "solve_boundary_involutions", "verify_v221_construction",
+    "verify_v221_construction",
 ]
 
 EXECUTED = """
@@ -55,7 +55,6 @@ print(" ".join(executed))
 def _python(*args):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    env.pop("SEIFERT_SEED", None)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 

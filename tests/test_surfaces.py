@@ -8,7 +8,6 @@ from seifinv import (
     InvolutionKind,
     SurfaceInvolutionClass,
     classes_for_genus,
-    count_classes,
     fixed_point_data,
     involution_class,
 )
@@ -63,19 +62,24 @@ class TestClassList:
             classes_for_genus(MAX_GENUS + 1)
 
 
+def counts(g):
+    """(preserving, reversing, total) class counts at genus g."""
+    return tuple(len(classes_for_genus(g, sel)) for sel in ("preserving", "reversing", "all"))
+
+
 class TestCounts:
     def test_torus_split(self):
-        assert count_classes(1) == (3, 3, 6)
+        assert counts(1) == (3, 3, 6)
 
     def test_sphere_split(self):
-        assert count_classes(0) == (2, 2, 4)
+        assert counts(0) == (2, 2, 4)
 
     def test_genus_four_total(self):
-        assert count_classes(4).total == 12
+        assert counts(4)[2] == 12
 
-    def test_total_formula_through_genus_twenty(self):
-        for g in range(21):
-            assert count_classes(g).total == 4 + 2 * g
+    def test_closed_forms_through_max_genus(self):
+        for g in range(MAX_GENUS + 1):
+            assert counts(g) == (2 + (g + 1) // 2, 2 + g + g // 2, 4 + 2 * g), g
 
 
 class TestFixedPointData:

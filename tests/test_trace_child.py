@@ -47,14 +47,12 @@ def test_the_readme_has_an_example_of_every_command():
 
 
 @pytest.mark.parametrize("argv", readme_examples(), ids=lambda argv: " ".join(argv[:2]))
-def test_traced_child_matches_main(argv, capsys, monkeypatch):
-    monkeypatch.delenv("SEIFERT_SEED", raising=False)
+def test_traced_child_matches_main(argv, capsys):
     with pytest.raises(SystemExit) as exit_:
         cli.main(argv)
     expected = capsys.readouterr()
 
-    env = {k: v for k, v in os.environ.items() if k != "SEIFERT_SEED"}
-    env["PYTHONPATH"] = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "seifbench" / "child.py"), str(time.perf_counter_ns()), *argv],
         capture_output=True,
