@@ -52,12 +52,17 @@ class AdmissibilityReport(NamedTuple):
 
 def _violations(N: SeifertInvariants, e: Rational) -> tuple[Violation, ...]:
     out = []
-    if e != 0:
+    if e:
         out.append(Violation.NONZERO_EULER)
-    higher = any(q > 2 for q, _ in N.tally)
+    top = n = 0  # the highest fiber order, and the number of order-two fibers
+    for (q, _), count in N.tally.items():
+        if q > top:
+            top = q
+        if q == 2:
+            n += count
+    higher = top > 2
     if higher:
         out.append(Violation.ORDER_GREATER_THAN_TWO)
-    n = sum(count for (q, _), count in N.tally.items() if q == 2)
     if n % 2 != 0:
         out.append(Violation.ODD_COUNT)
     # The b = -n/2 comparison presumes every fiber has order two; with
@@ -69,13 +74,14 @@ def _violations(N: SeifertInvariants, e: Rational) -> tuple[Violation, ...]:
 
 def _case_and_geometry(N: SeifertInvariants, chi: Rational) -> tuple[str, GeometryType]:
     # N is normalized and admissible, chi is its orbifold Euler
-    # characteristic.  The sign of chi picks the major case and the
+    # characteristic.  The sign of chi, which is the sign of its numerator
+    # since the denominator is positive, picks the major case and the
     # geometry; (genus, n) picks the letter.
     g = N.base.genus
-    n = len(N.pairs)
-    if chi > 0:
-        return ("1a" if n == 0 else "1b"), GeometryType.S2xR
-    if chi == 0:
+    sign = chi.numerator
+    if sign > 0:
+        return ("1a" if not N.pairs else "1b"), GeometryType.S2xR
+    if sign == 0:
         return ("2a" if g == 0 else "2b"), GeometryType.E3
     if g >= 2:
         return "3a", GeometryType.H2xR
@@ -85,11 +91,12 @@ def _case_and_geometry(N: SeifertInvariants, chi: Rational) -> tuple[str, Geomet
 def check_admissible(M: SeifertInvariants) -> AdmissibilityReport:
     """Evaluate all admissibility conditions on the normalized descriptor.
 
-    This is the one admissibility predicate: a single pass normalizes once,
-    computes ``e`` and ``chi_orb`` once, and derives the violations, the
-    case label and the geometry from them, with exact integer sums
-    throughout.  The report carries the normalized descriptor and both
-    invariants, so callers need not compute them again.  Violations
+    This is the one admissibility predicate: it normalizes once, computes
+    ``e`` and ``chi_orb`` once (each one pass over the tally, in exact
+    integers), reads the highest fiber order and the number of order-two
+    fibers in one more pass, and takes the case and the geometry from the
+    sign of ``chi_orb``.  The report carries the normalized descriptor and
+    both invariants, so callers need not compute them again.  Violations
     accumulate rather than short-circuit, so the report is diagnostic.
     Non-orientable bases are rejected: lift those to the
     orientable double cover first (``census.lift_to_double_cover``).
@@ -118,7 +125,9 @@ MAX_NMAX = 100
 def enumerate_admissible(g_max: int, n_max: int) -> list[SeifertInvariants]:
     """All normalized admissible descriptors with genus <= g_max and n <= n_max.
 
-    Ordered lexicographically by (genus, n) so output is reproducible.
+    Ordered lexicographically by (genus, n) so output is reproducible.  The
+    descriptor of genus g and n fibers is (g, o1 | (2,1) x n, (1,-n/2)); the
+    rows share one base per genus and are built from one pairs tuple per n.
     ``g_max`` runs from 0 to ``MAX_GMAX`` (50) and ``n_max`` from 0 to
     ``MAX_NMAX`` (100); any other value is refused with ``ValueError``
     before a descriptor is built.
@@ -129,8 +138,8 @@ def enumerate_admissible(g_max: int, n_max: int) -> list[SeifertInvariants]:
         raise ValueError(f"gmax must be at most {MAX_GMAX}, got {g_max}")
     if n_max > MAX_NMAX:
         raise ValueError(f"nmax must be at most {MAX_NMAX}, got {n_max}")
-    out = []
-    for g in range(g_max + 1):
-        for n in range(0, n_max + 1, 2):
-            out.append(SeifertInvariants(BaseSurface(g, True), ((2, 1),) * n, -(n // 2)))
-    return out
+    bases = [BaseSurface(g, True) for g in range(g_max + 1)]
+    fibers = [((2, 1),) * n for n in range(0, n_max + 1, 2)]
+    return [
+        SeifertInvariants(base, pairs, -(len(pairs) // 2)) for base in bases for pairs in fibers
+    ]

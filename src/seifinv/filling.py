@@ -52,12 +52,14 @@ class _SlopeFields(NamedTuple):
 class FillingSlope(_SlopeFields):
     """Coprime pair (m, l); (m, l) and (-m, -l) name the same filling.
 
-    Stored with l >= 0, and m > 0 when l = 0.
+    Stored as ``int(...)`` of what is given, with l >= 0, and m > 0 when
+    l = 0.
     """
 
     __slots__ = ()
 
     def __new__(cls, m: int, l: int):
+        m, l = int(m), int(l)
         if (m, l) == (0, 0):
             raise ValueError("slope (0,0) does not name a curve")
         if math.gcd(m, l) != 1:

@@ -95,6 +95,8 @@ class BaseSurface(_BaseSurfaceFields):
 
     def __new__(cls, genus: int, orientable: bool = True):
         genus = int(genus)
+        if type(orientable) is not bool:
+            raise ValueError(f"orientable must be True or False, got {orientable!r}")
         if problem := _base_problem(genus, orientable):
             raise ValueError(problem)
         return super().__new__(cls, genus, orientable)
@@ -385,25 +387,41 @@ class Rational:
     __ge__ = _compared(operator.ge)
 
 
+def _tally_sums(M: SeifertInvariants) -> tuple[int, int, int]:
+    """(L, sum of count*p*(L/q), sum of count*(L - L/q)) over ``M.tally``,
+    with L = lcm(q_i), in one pass: whenever a pair's q grows L, the sums
+    taken so far are scaled up with it."""
+    L = 1
+    fibers = deficit = 0
+    for (q, p), count in M.tally.items():
+        if L % q:
+            grow = q // math.gcd(L, q)
+            L *= grow
+            fibers *= grow
+            deficit *= grow
+        share = L // q
+        fibers += count * p * share
+        deficit += count * (L - share)
+    return L, fibers, deficit
+
+
 def euler_number(M: SeifertInvariants) -> Rational:
     """e = -(b + sum of p_i/q_i), exactly.
 
     The sum is taken in integers over the common denominator L = lcm(q_i),
-    e = -(b*L + sum of p_i*(L/q_i)) / L, once per distinct pair weighted by
-    its multiplicity, and reduced once at the end.
+    e = -(b*L + sum of p_i*(L/q_i)) / L, in one pass over the distinct pairs
+    weighted by their multiplicities, and reduced once at the end.
     """
-    L = math.lcm(*(q for q, _ in M.tally))
-    total = sum(count * p * (L // q) for (q, p), count in M.tally.items())
-    return Rational(-(M.b * L + total), L)
+    L, fibers, _ = _tally_sums(M)
+    return Rational(-(M.b * L + fibers), L)
 
 
 def orbifold_euler_characteristic(M: SeifertInvariants) -> Rational:
     """chi of the underlying base surface minus sum of (1 - 1/q_i).
 
     Summed in integers over L = lcm(q_i) as (chi*L - sum of (L - L/q_i)) / L,
-    once per distinct pair weighted by its multiplicity, and reduced once at
-    the end.
+    in one pass over the distinct pairs weighted by their multiplicities, and
+    reduced once at the end.
     """
-    L = math.lcm(*(q for q, _ in M.tally))
-    deficit = sum(count * (L - L // q) for (q, _), count in M.tally.items())
+    L, _, deficit = _tally_sums(M)
     return Rational(M.base.euler_characteristic() * L - deficit, L)

@@ -41,6 +41,7 @@ class SurfaceInvolutionClass(_SurfaceInvolutionFields):
     __slots__ = ()
 
     def __new__(cls, kind: InvolutionKind, g: int, r: int = 0):
+        g, r = int(g), int(r)
         if g < 0 or r < 0:
             raise ValueError("genus and r must be non-negative")
         if kind in (InvolutionKind.ID, InvolutionKind.ROT) and r != 0:

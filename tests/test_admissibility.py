@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -192,3 +194,82 @@ class TestEnumerate:
         with pytest.raises(ValueError) as exc:
             enumerate_admissible(g_max, n_max)
         assert str(exc.value) == message
+
+
+def _fraction_verdict(desc):
+    """e, chi_orb, the violation tags, the case and the geometry of an
+    orientable-base descriptor, from per-pair ``Fraction`` sums and the
+    textbook fold (q = 1 pairs into b, and b + floor(p/q) for the others)."""
+    g = desc.base.genus
+    e, chi, b, orders = Fraction(-desc.b), Fraction(2 - 2 * g), desc.b, []
+    for q, p in desc.pairs:
+        e -= Fraction(p, q)
+        chi -= 1 - Fraction(1, q)
+        b += p // q
+        if q > 1:
+            orders.append(q)
+    n = orders.count(2)
+    tags = []
+    if e != 0:
+        tags.append(Violation.NONZERO_EULER)
+    if any(q > 2 for q in orders):
+        tags.append(Violation.ORDER_GREATER_THAN_TWO)
+    if n % 2:
+        tags.append(Violation.ODD_COUNT)
+    if all(q == 2 for q in orders) and b != Fraction(-n, 2):
+        tags.append(Violation.WRONG_B_TERM)
+    if tags:
+        return e, chi, tuple(tags), None, GeometryType.OTHER
+    if chi > 0:
+        return e, chi, (), ("1a" if n == 0 else "1b"), GeometryType.S2xR
+    if chi == 0:
+        return e, chi, (), ("2a" if g == 0 else "2b"), GeometryType.E3
+    return e, chi, (), ("3a" if g >= 2 else "3b" if g == 1 else "3c"), GeometryType.H2xR
+
+
+class TestFractionOracle:
+    """The verdicts checked against per-pair ``fractions.Fraction`` sums."""
+
+    def test_widest_window(self):
+        got = enumerate_admissible(50, 100)
+        expected = [(g, n) for g in range(51) for n in range(0, 101, 2)]
+        assert len(got) == len(expected)
+        for desc, (g, n) in zip(got, expected):
+            assert desc == SeifertInvariants(BaseSurface(g, True), ((2, 1),) * n, -(n // 2))
+            e, chi, tags, label, geom = _fraction_verdict(desc)
+            assert (e, tags) == (0, ())
+            rep = check_admissible(desc)
+            assert rep.admissible and rep.violations == ()
+            assert (rep.case_label, rep.geometry) == (label, geom), (g, n)
+            assert (rep.euler_number, rep.chi_orb) == (e, chi)
+
+    def test_random_tallies(self):
+        rng = random.Random(1701)
+        seen = set()
+        for i in range(800):
+            # Every fourth descriptor has fibers of order two only; the others
+            # mix order two with orders 3-7.  Up to three q = 1 strays go
+            # anywhere in the list.
+            orders = (2,) if i % 4 == 0 else rng.choice([(2, 3, 4, 5, 6, 7), (2, 2, 2, 3, 5, 7)])
+            pairs = []
+            for _ in range(rng.choice((0, 1, 2, 3, 4, 6, 9, 20, 51, 120))):
+                q = rng.choice(orders)
+                p = rng.choice([k for k in range(-3 * q, 3 * q + 1) if math.gcd(k, q) == 1])
+                pairs.append((q, p))
+            for _ in range(rng.randint(0, 3)):
+                pairs.insert(rng.randint(0, len(pairs)), (1, rng.randint(-4, 4)))
+            total = sum(Fraction(p, q) for q, p in pairs)
+            # Half the time b cancels the integer part of the fiber sum, so
+            # e = 0 wherever that sum is integral.
+            b = -math.floor(total) if rng.random() < 0.5 else rng.randint(-30, 30)
+            desc = M(rng.choice((0, 0, 1, 2, 5)), pairs, b)
+            e, chi, tags, label, geom = _fraction_verdict(desc)
+            assert euler_number(desc) == e
+            assert orbifold_euler_characteristic(desc) == chi
+            rep = check_admissible(desc)
+            assert (rep.euler_number, rep.chi_orb) == (e, chi)
+            assert rep.violations == tags, desc
+            assert (rep.admissible, rep.case_label, rep.geometry) == (not tags, label, geom)
+            seen.update(tags)
+            seen.add(label)
+        assert seen >= set(Violation) | {"1a", "1b", "2a", "2b", "3a", "3b", "3c"}

@@ -15,6 +15,7 @@ from seifinv import (
     InvolutionKind,
     SeifertInvariants,
     SurfaceInvolutionClass,
+    fixed_point_data,
 )
 
 ID, SPIT, ROT, REFL, ANTI = (
@@ -64,6 +65,9 @@ def test_defaults():
 REFUSALS = [
     (BaseSurface, (-1,), "genus must be non-negative"),
     (BaseSurface, (0, False), "non-orientable base surface needs genus >= 1"),
+    (BaseSurface, (1, "no"), "orientable must be True or False, got 'no'"),
+    (BaseSurface, (1, None), "orientable must be True or False, got None"),
+    (BaseSurface, (1, 1), "orientable must be True or False, got 1"),
     (SeifertInvariants, (BaseSurface(0), ((0, 1),)), "fiber order must be positive in (0,1)"),
     (SeifertInvariants, (BaseSurface(0), ((-3, 1),)), "fiber order must be positive in (-3,1)"),
     (SeifertInvariants, (BaseSurface(0), ((2, 1), (4, 2))), "non-coprime pair (4,2)"),
@@ -170,3 +174,32 @@ def test_replace_keeps_the_tally_and_folds_the_slope():
     M = SeifertInvariants(BaseSurface(0), ((2, 1), (2, 1)), -1)._replace(b=-2)
     assert M.tally == {(2, 1): 2} and str(M) == "(0,o1|(2,1),(2,1),(1,-2))"
     assert tuple(FillingSlope(1, 2)._replace(l=-4)) == (-1, 4)
+
+
+@pytest.mark.parametrize("flag", ["no", None, 0, 1.0])
+def test_replace_and_make_refuse_a_non_bool_orientable(flag):
+    message = f"orientable must be True or False, got {flag!r}"
+    for build in (
+        lambda: BaseSurface(2)._replace(orientable=flag),
+        lambda: BaseSurface._make((2, flag)),
+        lambda: BaseSurface(genus=2, orientable=flag),
+    ):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_surface_class_stores_int_fields():
+    c = SurfaceInvolutionClass(SPIT, 2.0, 0)
+    assert type(c.g) is int and type(c.r) is int
+    assert c == SurfaceInvolutionClass(SPIT, 2, 0) and str(c) == "spit(2,0)"
+    assert str(fixed_point_data(c)) == "6 points"
+    c = SurfaceInvolutionClass(REFL, True, False)._replace(g=3.5)
+    assert tuple(c) == (REFL, 3, 0) and str(c) == "refl(3,0)"
+
+
+def test_filling_slope_stores_int_fields():
+    slope = FillingSlope(True, 2)
+    assert type(slope.m) is int and type(slope.l) is int
+    assert slope == FillingSlope(1, 2) and str(slope) == "(1,2)"
+    assert str(FillingSlope(-3.0, -1.0)) == "(3,1)"
