@@ -126,11 +126,13 @@ def enumerate_admissible(g_max: int, n_max: int) -> list[SeifertInvariants]:
     """All normalized admissible descriptors with genus <= g_max and n <= n_max.
 
     Ordered lexicographically by (genus, n) so output is reproducible.  The
-    descriptor of genus g and n fibers is (g, o1 | (2,1) x n, (1,-n/2)); the
-    rows share one base per genus and are built from one pairs tuple per n.
-    ``g_max`` runs from 0 to ``MAX_GMAX`` (50) and ``n_max`` from 0 to
-    ``MAX_NMAX`` (100); any other value is refused with ``ValueError``
-    before a descriptor is built.
+    descriptor of genus g and n fibers is (g, o1 | (2,1) x n, (1,-n/2)).  One
+    descriptor per n goes through the full constructor, on the genus-0
+    base; the row of every other genus is that descriptor with only its
+    base replaced (``_replace(base=...)``), so the rows of one n share its
+    checked ``pairs`` tuple, ``b`` and ``tally``.  ``g_max`` runs from 0 to
+    ``MAX_GMAX`` (50) and ``n_max`` from 0 to ``MAX_NMAX`` (100); any other
+    value is refused with ``ValueError`` before a descriptor is built.
     """
     if g_max < 0 or n_max < 0:
         raise ValueError("enumeration bounds must be non-negative")
@@ -139,7 +141,7 @@ def enumerate_admissible(g_max: int, n_max: int) -> list[SeifertInvariants]:
     if n_max > MAX_NMAX:
         raise ValueError(f"nmax must be at most {MAX_NMAX}, got {n_max}")
     bases = [BaseSurface(g, True) for g in range(g_max + 1)]
-    fibers = [((2, 1),) * n for n in range(0, n_max + 1, 2)]
-    return [
-        SeifertInvariants(base, pairs, -(len(pairs) // 2)) for base in bases for pairs in fibers
+    checked = [
+        SeifertInvariants(bases[0], ((2, 1),) * n, -(n // 2)) for n in range(0, n_max + 1, 2)
     ]
+    return [M._replace(base=base) for base in bases for M in checked]

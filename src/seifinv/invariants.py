@@ -28,6 +28,7 @@ import re
 import sys
 from collections import Counter
 from enum import Enum
+from types import MappingProxyType
 from typing import NamedTuple
 
 __all__ = [
@@ -123,10 +124,16 @@ class SeifertInvariants(_SeifertFields):
     ``b`` and the pair entries are stored as ``int(...)`` of what is given,
     as the genus of a ``BaseSurface`` is.
 
+    ``base`` must be a ``BaseSurface``; anything else is refused with
+    ``ValueError``.
+
     ``tally`` maps each distinct pair to its multiplicity, in first-seen
     order; the invariants are computed from it, once per distinct pair.  It
     is derived from ``pairs`` and kept outside the tuple, so it takes no part
-    in equality, hashing or repr, and must not be mutated.
+    in equality, hashing or repr.  It is a read-only mapping, and records
+    with the same pairs may share it: ``_replace(base=...)`` checks only the
+    new base and keeps the checked ``pairs``, ``b`` and ``tally`` as they
+    are.  Every other ``_replace`` and ``_make`` runs the constructor.
     """
 
     def __new__(cls, base: BaseSurface, pairs=(), b: int = 0):
@@ -134,13 +141,31 @@ class SeifertInvariants(_SeifertFields):
         for q, p in tally:
             if problem := _pair_problem(q, p):
                 raise ValueError(problem)
-        self = super().__new__(cls, base, pairs, int(b))
+        return cls._on_base(base, pairs, int(b), MappingProxyType(tally))
+
+    @classmethod
+    def _on_base(cls, base, pairs, b, tally):
+        """The record of checked ``pairs``, ``b`` and ``tally`` on ``base``,
+        which is checked here."""
+        if not isinstance(base, BaseSurface):
+            raise ValueError(f"base must be a BaseSurface, got {base!r}")
+        self = super().__new__(cls, base, pairs, b)
         object.__setattr__(self, "tally", tally)
         return self
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    def _replace(self, /, **changes):
+        if changes.keys() == {"base"}:
+            return self._on_base(changes["base"], self.pairs, self.b, self.tally)
+        return super()._replace(**changes)
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through the constructor, which
+        # derives the tally again.
+        return type(self), tuple(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to attribute {name!r}")

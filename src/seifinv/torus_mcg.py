@@ -67,13 +67,23 @@ def is_involution(A: IntMatrix2) -> bool:
     return mat_mul(A, A) == IDENTITY
 
 
+def _refuse_non_int(*matrices: IntMatrix2) -> None:
+    # IntMatrix2 stores its entries as given, so the public entry points
+    # refuse non-int entries here rather than in its inner-loop constructor.
+    for A in matrices:
+        if not all(type(v) is int for v in A):
+            raise ValueError(f"matrix entries must be integers, got {A}")
+
+
 def involution_class(A: IntMatrix2) -> InvolutionClassLabel:
     """Conjugacy class of an involution in GL2(Z).
 
     Determinant -1 involutions are ReflType exactly when A is congruent to
     the identity mod 2, AntiType otherwise; the test suite checks this
-    against exhaustive conjugator search on a bounded window.
+    against exhaustive conjugator search on a bounded window.  A matrix with
+    a non-int entry is refused with ``ValueError``.
     """
+    _refuse_non_int(A)
     if not is_involution(A):
         raise ValueError(f"{A} is not an involution")
     if A == IDENTITY:
@@ -149,10 +159,12 @@ def find_conjugator(A: IntMatrix2, B: IntMatrix2, bound: int) -> IntMatrix2 | No
     Returns the identity immediately when A == B; otherwise scans candidates
     in lexicographic entry order and returns the first hit, or ``None`` when
     the window is exhausted.  Absence within the window is a value, not an
-    error.  ``bound`` runs from 1 to ``MAX_BOUND`` (32); any other value is
-    refused with ``ValueError``.
+    error.  ``bound`` is an int from 1 to ``MAX_BOUND`` (32), and every
+    entry of ``A`` and ``B`` an int; anything else is refused with
+    ``ValueError``.
     """
-    if bound < 1:
+    _refuse_non_int(A, B)
+    if type(bound) is not int or bound < 1:
         raise ValueError("bound must be a positive integer")
     if bound > MAX_BOUND:
         raise ValueError(f"bound must be at most {MAX_BOUND}, got {bound}")

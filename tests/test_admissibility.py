@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -236,6 +237,8 @@ class TestFractionOracle:
         assert len(got) == len(expected)
         for desc, (g, n) in zip(got, expected):
             assert desc == SeifertInvariants(BaseSurface(g, True), ((2, 1),) * n, -(n // 2))
+            # The rows of one n share one tally; it must still count the pairs.
+            assert desc.tally == Counter(desc.pairs)
             e, chi, tags, label, geom = _fraction_verdict(desc)
             assert (e, tags) == (0, ())
             rep = check_admissible(desc)

@@ -5,6 +5,9 @@ exact message, the sign fold of a filling slope, and the hash of the field
 tuple, so sets of records iterate in the same order.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from seifinv import (
@@ -71,6 +74,7 @@ REFUSALS = [
     (SeifertInvariants, (BaseSurface(0), ((0, 1),)), "fiber order must be positive in (0,1)"),
     (SeifertInvariants, (BaseSurface(0), ((-3, 1),)), "fiber order must be positive in (-3,1)"),
     (SeifertInvariants, (BaseSurface(0), ((2, 1), (4, 2))), "non-coprime pair (4,2)"),
+    (SeifertInvariants, ((0, True), ((2, 1),)), "base must be a BaseSurface, got (0, True)"),
     (FillingSlope, (0, 0), "slope (0,0) does not name a curve"),
     (FillingSlope, (2, 4), "slope (2,4) is not primitive"),
     (FillingSlope, (-3, 0), "slope (-3,0) is not primitive"),
@@ -122,6 +126,9 @@ def test_validated_records_are_frozen():
             setattr(record, name, 0)
     with pytest.raises(AttributeError):
         FillingSlope(1, 2).extra = 0
+    # The tally is read-only too: rows of enumerate_admissible share it.
+    with pytest.raises(TypeError):
+        M.tally[(2, 1)] = 5
     assert M.tally == {(2, 1): 2}
 
 
@@ -139,6 +146,12 @@ REPLACEMENTS = [
         {"pairs": ((2, 1), (4, 2))},
         "non-coprime pair (4,2)",
     ),
+    (
+        SeifertInvariants(BaseSurface(0), ((2, 1), (2, 1)), -1),
+        {"base": BaseSurface(3)},
+        {"base": (0, True)},
+        "base must be a BaseSurface, got (0, True)",
+    ),
     (FillingSlope(1, 2), {"l": -4}, {"m": 2}, "slope (2,2) is not primitive"),
     (
         FactorizationRecord("reversed", SPIT00, 2),
@@ -153,7 +166,9 @@ REPLACEMENTS = [
 @pytest.mark.parametrize(
     "value, changes, refused, message",
     REPLACEMENTS,
-    ids=[type(r[0]).__name__ for r in REPLACEMENTS],
+    # The row that replaces a descriptor's base takes the sharing path of
+    # SeifertInvariants._replace; its id names the field.
+    ids=[type(r[0]).__name__ + ("-base" if "base" in r[1] else "") for r in REPLACEMENTS],
 )
 def test_replace_and_make_run_the_constructor(value, changes, refused, message):
     record = type(value)
@@ -173,7 +188,19 @@ def test_replace_and_make_run_the_constructor(value, changes, refused, message):
 def test_replace_keeps_the_tally_and_folds_the_slope():
     M = SeifertInvariants(BaseSurface(0), ((2, 1), (2, 1)), -1)._replace(b=-2)
     assert M.tally == {(2, 1): 2} and str(M) == "(0,o1|(2,1),(2,1),(1,-2))"
+    # A new base alone shares the checked fields and the tally.
+    N = M._replace(base=BaseSurface(4))
+    assert (N.pairs, N.b, N.tally) == (M.pairs, M.b, M.tally) and N.tally is M.tally
+    assert str(N) == "(4,o1|(2,1),(2,1),(1,-2))"
     assert tuple(FillingSlope(1, 2)._replace(l=-4)) == (-1, 4)
+
+
+def test_copies_and_pickles_keep_a_read_only_tally():
+    M = SeifertInvariants(BaseSurface(0), ((2, 1), (2, 1)), -1)._replace(base=BaseSurface(2))
+    for got in (copy.copy(M), copy.deepcopy(M), pickle.loads(pickle.dumps(M))):
+        assert got == M and str(got) == str(M) and got.tally == {(2, 1): 2}
+        with pytest.raises(TypeError):
+            got.tally[(2, 1)] = 5
 
 
 @pytest.mark.parametrize("flag", ["no", None, 0, 1.0])

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from seifinv import (
@@ -97,6 +99,14 @@ class TestInvolutionClass:
         with pytest.raises(ValueError):
             involution_class(IntMatrix2(0, -1, 1, 0))
 
+    @pytest.mark.parametrize("entries", [(1.0, 0, 0, 1), (1, 0, 0, True), (-1, 0, 0, -1.0)])
+    def test_rejects_non_int_entries(self, entries):
+        # Each of these would pass as an involution if read by value.
+        A = IntMatrix2(*entries)
+        message = f"^{re.escape(f'matrix entries must be integers, got {A}')}$"
+        with pytest.raises(ValueError, match=message):
+            involution_class(A)
+
     def test_class_invariant_under_conjugation(self):
         involutions = involutions_in_window(3)
         conjugators = [H for H in window_matrices(3) if abs(mat_det(H)) == 1]
@@ -143,8 +153,18 @@ class TestFindConjugator:
                     assert find_conjugator(A, B, bound) == expected, (A, B, bound)
 
     def test_rejects_bad_bound(self):
-        with pytest.raises(ValueError, match="^bound must be a positive integer$"):
-            find_conjugator(IDENTITY, IDENTITY, 0)
+        for bound in (0, 3.0, True):
+            with pytest.raises(ValueError, match="^bound must be a positive integer$"):
+                find_conjugator(IDENTITY, IDENTITY, bound)
+
+    @pytest.mark.parametrize("entries", [(1.0, 0, 0, 1), (1, 0, 0, True), (0, 1, 1, 0.0)])
+    def test_rejects_non_int_entries(self, entries):
+        # Each of these would be searched, or matched at once, if read by value.
+        A = IntMatrix2(*entries)
+        message = f"^{re.escape(f'matrix entries must be integers, got {A}')}$"
+        for args in ((A, SWAP, 3), (SWAP, A, 3)):
+            with pytest.raises(ValueError, match=message):
+                find_conjugator(*args)
 
     def test_bound_cap(self):
         assert MAX_BOUND == 32
