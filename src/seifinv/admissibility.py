@@ -134,6 +134,9 @@ def enumerate_admissible(g_max: int, n_max: int) -> list[SeifertInvariants]:
     ``MAX_GMAX`` (50) and ``n_max`` from 0 to ``MAX_NMAX`` (100); any other
     value is refused with ``ValueError`` before a descriptor is built.
     """
+    for name, bound in (("gmax", g_max), ("nmax", n_max)):
+        if type(bound) is not int:
+            raise ValueError(f"{name} must be an integer, got {bound!r}")
     if g_max < 0 or n_max < 0:
         raise ValueError("enumeration bounds must be non-negative")
     if g_max > MAX_GMAX:

@@ -67,6 +67,11 @@ class FactorizationRecord(_RecordFields):
     ):
         if fiber_orientation not in (PRESERVED, REVERSED):
             raise ValueError(f"unknown fiber orientation {fiber_orientation!r}")
+        if not isinstance(surface_class, surfaces.SurfaceInvolutionClass):
+            raise ValueError(
+                f"surface class must be a SurfaceInvolutionClass, got {surface_class!r}"
+            )
+        fixed_boundary_count = int(fixed_boundary_count)
         if fixed_boundary_count < 0:
             raise ValueError("fixed boundary count must be non-negative")
         return super().__new__(cls, fiber_orientation, surface_class, fixed_boundary_count)

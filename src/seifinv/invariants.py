@@ -122,22 +122,23 @@ class SeifertInvariants(_SeifertFields):
     """Descriptor (g, o1 | (q1,p1), ..., (1,b)) with exact integer data.
 
     ``b`` and the pair entries are stored as ``int(...)`` of what is given,
-    as the genus of a ``BaseSurface`` is.
-
-    ``base`` must be a ``BaseSurface``; anything else is refused with
-    ``ValueError``.
+    as the genus of a ``BaseSurface`` is; ``base`` must be a ``BaseSurface``,
+    and anything else is refused with ``ValueError``.
 
     ``tally`` maps each distinct pair to its multiplicity, in first-seen
     order; the invariants are computed from it, once per distinct pair.  It
     is derived from ``pairs`` and kept outside the tuple, so it takes no part
     in equality, hashing or repr.  It is a read-only mapping, and records
-    with the same pairs may share it: ``_replace(base=...)`` checks only the
-    new base and keeps the checked ``pairs``, ``b`` and ``tally`` as they
-    are.  Every other ``_replace`` and ``_make`` runs the constructor.
+    with the same pairs may share it.  The constructor converts, counts and
+    checks every pair; ``parse_seifert`` and ``normalize``, which build
+    checked int pairs, and ``_replace(base=...)``, which keeps them, pass
+    their fields to ``_on_base`` instead.  Every other ``_replace`` and
+    ``_make`` runs the constructor.
     """
 
     def __new__(cls, base: BaseSurface, pairs=(), b: int = 0):
-        pairs, tally = _int_pairs(pairs)
+        pairs = tuple((int(q), int(p)) for q, p in pairs)
+        tally = Counter(pairs)
         for q, p in tally:
             if problem := _pair_problem(q, p):
                 raise ValueError(problem)
@@ -145,8 +146,9 @@ class SeifertInvariants(_SeifertFields):
 
     @classmethod
     def _on_base(cls, base, pairs, b, tally):
-        """The record of checked ``pairs``, ``b`` and ``tally`` on ``base``,
-        which is checked here."""
+        """The record on ``base``, checked here, of fields the caller vouches
+        for: ``pairs`` a tuple of (int, int) tuples that pass ``_pair_problem``,
+        ``b`` an int and ``tally`` a read-only mapping equal to ``Counter(pairs)``."""
         if not isinstance(base, BaseSurface):
             raise ValueError(f"base must be a BaseSurface, got {base!r}")
         self = super().__new__(cls, base, pairs, b)
@@ -172,30 +174,6 @@ class SeifertInvariants(_SeifertFields):
 
     def __str__(self) -> str:
         return print_seifert(self)
-
-
-def _int_pairs(pairs) -> tuple[tuple[tuple[int, int], ...], Counter]:
-    """``pairs`` as a tuple of (int, int) tuples, and its tally.
-
-    A tuple whose distinct entries are all (int, int) tuples is counted as
-    given, and each entry is replaced by its tally key, so an entry that only
-    equals an int pair, such as (2, True), is stored as that pair.  Any other
-    input is rebuilt pair by pair with ``int``.  Counting first spares the
-    per-pair ``int`` calls for pairs that are already ints, as the parser
-    and ``normalize`` build them.
-    """
-    if type(pairs) is tuple:
-        try:
-            tally = Counter(pairs)
-        except TypeError:  # unhashable entries, such as lists
-            tally = None
-        if tally is not None and all(
-            type(k) is tuple and len(k) == 2 and type(k[0]) is int and type(k[1]) is int
-            for k in tally
-        ):
-            return tuple(map(dict(zip(tally, tally)).__getitem__, pairs)), tally
-    pairs = tuple((int(q), int(p)) for q, p in pairs)
-    return pairs, Counter(pairs)
 
 
 # The descriptor grammar as token tables, each token a regex and the name its
@@ -286,10 +264,10 @@ def parse_seifert(text: str) -> SeifertInvariants:
     _expect(m, _TAIL, 1)
     if m.end() < len(text):
         raise SeifertParseError("unexpected trailing text", m.end())
-    b = 0
-    if pairs and pairs[-1][0] == 1:
-        b = pairs.pop()[1]
-    return SeifertInvariants(BaseSurface(genus, orientable), tuple(pairs), b)
+    b = pairs.pop()[1] if pairs and pairs[-1][0] == 1 else 0
+    pairs = tuple(pairs)
+    tally = MappingProxyType(Counter(pairs))
+    return SeifertInvariants._on_base(BaseSurface(genus, orientable), pairs, b, tally)
 
 
 def print_seifert(M: SeifertInvariants) -> str:
@@ -319,16 +297,18 @@ def normalize(M: SeifertInvariants) -> SeifertInvariants:
         return M
     b = M.b
     folded: dict[tuple[int, int], tuple[int, int] | None] = {}
+    tally = Counter()
     for (q, p), count in M.tally.items():
         if q == 1:
             b += count * p
             folded[q, p] = None
         else:
-            r = p % q  # 0 < r < q because gcd(p, q) = 1 and q >= 2
+            r = p % q  # gcd(p, q) = 1 and q >= 2, so 0 < r < q and (q, r) is coprime
             b += count * ((p - r) // q)
             folded[q, p] = (q, r)
+            tally[q, r] += count
     pairs = tuple(filter(None, map(folded.__getitem__, M.pairs)))
-    return SeifertInvariants(M.base, pairs, b)
+    return SeifertInvariants._on_base(M.base, pairs, b, MappingProxyType(tally))
 
 
 def _compared(op):

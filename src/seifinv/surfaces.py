@@ -41,6 +41,8 @@ class SurfaceInvolutionClass(_SurfaceInvolutionFields):
     __slots__ = ()
 
     def __new__(cls, kind: InvolutionKind, g: int, r: int = 0):
+        if not isinstance(kind, InvolutionKind):
+            raise ValueError(f"kind must be an InvolutionKind, got {kind!r}")
         g, r = int(g), int(r)
         if g < 0 or r < 0:
             raise ValueError("genus and r must be non-negative")
@@ -97,6 +99,8 @@ def classes_for_genus(g: int, selection: str = "all") -> list[SurfaceInvolutionC
     from 0 to ``MAX_GENUS`` (50); any other value is refused with
     ``ValueError`` before a class is built.
     """
+    if type(g) is not int:
+        raise ValueError(f"genus must be an integer, got {g!r}")
     if g < 0:
         raise ValueError("genus must be non-negative")
     if g > MAX_GENUS:

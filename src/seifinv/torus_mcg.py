@@ -50,11 +50,22 @@ class InvolutionClassLabel(Enum):
     ANTI_TYPE = "AntiType"
 
 
+def _refuse_non_int(*matrices: IntMatrix2) -> None:
+    # IntMatrix2 stores its entries as given, so the public functions refuse
+    # non-int entries here rather than in its constructor, which
+    # find_conjugator's inner loop would pay for.
+    for A in matrices:
+        if not all(type(v) is int for v in A):
+            raise ValueError(f"matrix entries must be integers, got {A}")
+
+
 def mat_det(A: IntMatrix2) -> int:
+    _refuse_non_int(A)
     return A.a * A.d - A.b * A.c
 
 
 def mat_mul(A: IntMatrix2, B: IntMatrix2) -> IntMatrix2:
+    _refuse_non_int(A, B)
     return IntMatrix2(
         A.a * B.a + A.b * B.c,
         A.a * B.b + A.b * B.d,
@@ -67,14 +78,6 @@ def is_involution(A: IntMatrix2) -> bool:
     return mat_mul(A, A) == IDENTITY
 
 
-def _refuse_non_int(*matrices: IntMatrix2) -> None:
-    # IntMatrix2 stores its entries as given, so the public entry points
-    # refuse non-int entries here rather than in its inner-loop constructor.
-    for A in matrices:
-        if not all(type(v) is int for v in A):
-            raise ValueError(f"matrix entries must be integers, got {A}")
-
-
 def involution_class(A: IntMatrix2) -> InvolutionClassLabel:
     """Conjugacy class of an involution in GL2(Z).
 
@@ -83,7 +86,6 @@ def involution_class(A: IntMatrix2) -> InvolutionClassLabel:
     against exhaustive conjugator search on a bounded window.  A matrix with
     a non-int entry is refused with ``ValueError``.
     """
-    _refuse_non_int(A)
     if not is_involution(A):
         raise ValueError(f"{A} is not an involution")
     if A == IDENTITY:

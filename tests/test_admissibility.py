@@ -177,6 +177,13 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_admissible(-1, 2)
 
+    @pytest.mark.parametrize("bound", [2.5, "3", True])
+    def test_non_int_bounds_refused(self, bound):
+        for args, name in (((bound, 2), "gmax"), ((2, bound), "nmax")):
+            with pytest.raises(ValueError) as exc:
+                enumerate_admissible(*args)
+            assert str(exc.value) == f"{name} must be an integer, got {bound!r}"
+
     def test_window_at_the_caps(self):
         assert (admissibility.MAX_GMAX, admissibility.MAX_NMAX) == (50, 100)
         got = enumerate_admissible(50, 100)

@@ -1,8 +1,11 @@
+import itertools
+import json
 import math
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,10 @@ from seifinv import (
 )
 from seifinv.cli import run
 from util import random_descriptor
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "seifbench"))
+
+from workloads import WORKLOADS  # noqa: E402
 
 
 def M(genus, pairs=(), b=0, orientable=True):
@@ -387,3 +394,39 @@ class TestValidation:
         )
         assert a != M(0, [(2, 1)] * 2, -2)
         assert len({a, b, M(0, [(2, 1)] * 2, -1)}) == 2
+
+
+def _built_descriptors():
+    """Descriptors from every builder: each text the parse golden records as
+    parsed, seeded random descriptors and their printed re-parses, and the
+    50-400 fiber descriptors of the ``wide-descriptors`` benchmark workload."""
+    golden = json.loads((Path(__file__).with_name("data") / "golden_parse.json").read_text())
+    texts = [rec["text"] for rec in golden if "error" not in rec]
+    rounds = itertools.islice(WORKLOADS["wide-descriptors"].rounds(5), 3)
+    texts += [req.argv[1] for round_ in rounds for req in round_ if req.argv[0] != "enumerate"]
+    texts.append("(1,o1|" + ",".join(_WIDE_POOL[i % len(_WIDE_POOL)] for i in range(400)) + ")")
+    built = [parse_seifert(text) for text in texts]
+    rng = random.Random(7)
+    for _ in range(300):
+        desc = random_descriptor(rng)
+        built += [desc, parse_seifert(print_seifert(desc))]
+    return built
+
+
+def test_checked_fields_are_the_constructor_fields():
+    """``parse_seifert`` and ``normalize`` hand their fields to ``_on_base``
+    unchecked; each record they build must be the one the constructor
+    builds from its fields, with exact int pairs and a read-only tally
+    equal to the count of its pairs, in first-seen order."""
+    built = _built_descriptors()
+    assert len(built) > 800
+    for M in built:
+        for desc in (M, normalize(M)):
+            rebuilt = SeifertInvariants(desc.base, desc.pairs, desc.b)
+            assert rebuilt == desc and rebuilt.tally == desc.tally
+            assert type(desc.pairs) is tuple and type(desc.b) is int
+            assert all(type(pair) is tuple and len(pair) == 2 for pair in desc.pairs)
+            assert all(type(x) is int for pair in desc.pairs for x in pair)
+            assert list(desc.tally.items()) == list(Counter(desc.pairs).items())
+            with pytest.raises(TypeError):
+                desc.tally[(2, 1)] = 1

@@ -80,6 +80,12 @@ REFUSALS = [
     (FillingSlope, (-3, 0), "slope (-3,0) is not primitive"),
     (FactorizationRecord, ("sideways", SPIT00, 0), "unknown fiber orientation 'sideways'"),
     (FactorizationRecord, ("preserved", SPIT00, -1), "fixed boundary count must be non-negative"),
+    (
+        FactorizationRecord,
+        ("preserved", "spit", 2),
+        "surface class must be a SurfaceInvolutionClass, got 'spit'",
+    ),
+    (SurfaceInvolutionClass, ("spit", 2, 0), "kind must be an InvolutionKind, got 'spit'"),
     (SurfaceInvolutionClass, (ID, -1), "genus and r must be non-negative"),
     (SurfaceInvolutionClass, (SPIT, 2, -1), "genus and r must be non-negative"),
     (SurfaceInvolutionClass, (ID, 2, 1), "id takes no r parameter"),
@@ -223,6 +229,13 @@ def test_surface_class_stores_int_fields():
     assert str(fixed_point_data(c)) == "6 points"
     c = SurfaceInvolutionClass(REFL, True, False)._replace(g=3.5)
     assert tuple(c) == (REFL, 3, 0) and str(c) == "refl(3,0)"
+
+
+def test_factorization_record_stores_an_int_count():
+    record = FactorizationRecord("preserved", SPIT00, 2.5)
+    assert type(record.fixed_boundary_count) is int
+    assert record == FactorizationRecord("preserved", SPIT00, 2)
+    assert tuple(record._replace(fixed_boundary_count=True)) == ("preserved", SPIT00, 1)
 
 
 def test_filling_slope_stores_int_fields():

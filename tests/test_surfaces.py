@@ -55,6 +55,12 @@ class TestClassList:
         with pytest.raises(ValueError):
             classes_for_genus(1, "sideways")
 
+    @pytest.mark.parametrize("genus", [2.5, "3", True])
+    def test_non_int_genus_refused(self, genus):
+        with pytest.raises(ValueError) as exc:
+            classes_for_genus(genus)
+        assert str(exc.value) == f"genus must be an integer, got {genus!r}"
+
     def test_genus_cap(self):
         assert MAX_GENUS == 50
         assert len(classes_for_genus(MAX_GENUS)) == 4 + 2 * MAX_GENUS

@@ -58,6 +58,19 @@ class TestArithmetic:
             for B in mats[:10]:
                 assert mat_det(mat_mul(A, B)) == mat_det(A) * mat_det(B)
 
+    @pytest.mark.parametrize("entries", [(1.0, 0, 0, -1), (1, 0, 0, True), (0, 1, 1, 0.0)])
+    @pytest.mark.parametrize(
+        "compute",
+        [mat_det, is_involution, lambda A: mat_mul(A, IDENTITY), lambda A: mat_mul(IDENTITY, A)],
+        ids=["mat_det", "is_involution", "mat_mul-left", "mat_mul-right"],
+    )
+    def test_rejects_non_int_entries(self, compute, entries):
+        # Read by value, each of these is an involution.
+        A = IntMatrix2(*entries)
+        message = f"^{re.escape(f'matrix entries must be integers, got {A}')}$"
+        with pytest.raises(ValueError, match=message):
+            compute(A)
+
     def test_double_inverse(self):
         # adj(A) / det A is integral exactly when |det A| = 1.
         for A in window_matrices(2):
