@@ -17,6 +17,7 @@ from .invariants import (
     GeometryType,
     Rational,
     SeifertInvariants,
+    _refuse_non_descriptor,
     euler_number,
     normalize,
     orbifold_euler_characteristic,
@@ -101,6 +102,7 @@ def check_admissible(M: SeifertInvariants) -> AdmissibilityReport:
     Non-orientable bases are rejected: lift those to the
     orientable double cover first (``census.lift_to_double_cover``).
     """
+    _refuse_non_descriptor(M)
     if not M.base.orientable:
         raise ValueError(
             "non-orientable base: lift to the orientable-base double cover first "
@@ -126,14 +128,23 @@ def enumerate_admissible(g_max: int, n_max: int) -> list[SeifertInvariants]:
     """All normalized admissible descriptors with genus <= g_max and n <= n_max.
 
     Ordered lexicographically by (genus, n) so output is reproducible.  The
-    descriptor of genus g and n fibers is (g, o1 | (2,1) x n, (1,-n/2)).  One
-    descriptor per n goes through the full constructor, on the genus-0
-    base; the row of every other genus is that descriptor with only its
-    base replaced (``_replace(base=...)``), so the rows of one n share its
-    checked ``pairs`` tuple, ``b`` and ``tally``.  ``g_max`` runs from 0 to
+    descriptor of genus g and n fibers is (g, o1 | (2,1) x n, (1,-n/2)).  No
+    admissibility condition reads the genus, so the work that reads the
+    fibers is shared per fiber count: ``_window`` builds one descriptor per
+    n through the full constructor, on the genus-0 base, and the row of
+    every other genus is that descriptor with only its base replaced
+    (``_replace(base=...)``), so the rows of one n share its checked
+    ``pairs`` tuple, ``b`` and ``tally``.  ``g_max`` runs from 0 to
     ``MAX_GMAX`` (50) and ``n_max`` from 0 to ``MAX_NMAX`` (100); any other
     value is refused with ``ValueError`` before a descriptor is built.
     """
+    bases, fibers = _window(g_max, n_max)
+    return [M._replace(base=base) for base in bases for M in fibers]
+
+
+def _window(g_max: int, n_max: int) -> tuple[list[BaseSurface], list[SeifertInvariants]]:
+    """The window's orientable bases, genus 0 to ``g_max``, and its
+    descriptor of each even fiber count n <= ``n_max`` on the first of them."""
     for name, bound in (("gmax", g_max), ("nmax", n_max)):
         if type(bound) is not int:
             raise ValueError(f"{name} must be an integer, got {bound!r}")
@@ -144,7 +155,5 @@ def enumerate_admissible(g_max: int, n_max: int) -> list[SeifertInvariants]:
     if n_max > MAX_NMAX:
         raise ValueError(f"nmax must be at most {MAX_NMAX}, got {n_max}")
     bases = [BaseSurface(g, True) for g in range(g_max + 1)]
-    checked = [
-        SeifertInvariants(bases[0], ((2, 1),) * n, -(n // 2)) for n in range(0, n_max + 1, 2)
-    ]
-    return [M._replace(base=base) for base in bases for M in checked]
+    evens = range(0, n_max + 1, 2)
+    return bases, [SeifertInvariants(bases[0], ((2, 1),) * n, -(n // 2)) for n in evens]

@@ -20,6 +20,7 @@ from .invariants import (
     BaseSurface,
     Rational,
     SeifertInvariants,
+    _refuse_non_descriptor,
     euler_number,
     orbifold_euler_characteristic,
 )
@@ -170,6 +171,7 @@ def lift_to_double_cover(M: SeifertInvariants) -> tuple[SeifertInvariants, Doubl
     report carries the computed doubling checks for the Euler number and
     the orbifold Euler characteristic, plus the cover's admissibility.
     """
+    _refuse_non_descriptor(M)
     if M.base.orientable:
         raise ValueError("double-cover lift applies to non-orientable bases only")
     cover_base = BaseSurface(M.base.genus - 1, True)

@@ -29,7 +29,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .torus_mcg import IntMatrix2, is_involution
+from .torus_mcg import IntMatrix2, _refuse_non_int, is_involution
 
 __all__ = [
     "ConstructionReport",
@@ -83,6 +83,8 @@ def extension_condition(filling: FillingSlope) -> frozenset[IntMatrix2]:
     one sign eps, so A = eps*[[1, -2m/l], [0, -1]], with det A = -1:
     {+-[[1,-1],[0,-1]]} for (1,2) and {+-[[1,-2x],[0,-1]]} for (x,1).
     """
+    if not isinstance(filling, FillingSlope):
+        raise ValueError(f"slope must be a FillingSlope, got {filling!r}")
     # The closed form also answers (m,2) for odd m != 1, but the benchmark
     # oracle (seifbench/oracle.py) pins the refusal of those slopes, so the
     # scope stays at the two worked families.
@@ -141,8 +143,10 @@ def verify_v221_construction(
     its extension condition (the assignments are searched, not paired in a
     fixed order); the outer action is diag(-1,1) and equals the action the
     inner actions induce on the outer torus.  Any single-entry perturbation
-    of the standard inner or outer data fails at least one check.
+    of the standard inner or outer data fails at least one check.  An
+    ``outer`` with a non-``int`` entry is refused, as the inner actions are.
     """
+    _refuse_non_int(outer)
     inner = tuple(inner)
     if len(inner) != 3:
         raise ValueError("expected exactly three inner boundary actions")

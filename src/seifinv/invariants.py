@@ -270,20 +270,36 @@ def parse_seifert(text: str) -> SeifertInvariants:
     return SeifertInvariants._on_base(BaseSurface(genus, orientable), pairs, b, tally)
 
 
+def _refuse_non_descriptor(M) -> None:
+    if not isinstance(M, SeifertInvariants):
+        raise ValueError(f"descriptor must be a SeifertInvariants, got {M!r}")
+
+
 def print_seifert(M: SeifertInvariants) -> str:
     """Canonical text form; ``parse_seifert(print_seifert(M)) == M``.
 
-    The obstruction term is printed as a trailing (1, b) pair when b != 0,
-    and also when the stored pair list itself ends in a q = 1 pair (so the
+    The text is the head of the base, ``_print_head``, followed by the body
+    of the fibers, ``_print_body``, which reads only the pairs and b; the
+    rows of one fiber count in ``enumerate`` share one body.  The
+    obstruction term is printed as a trailing (1, b) pair when b != 0, and
+    also when the stored pair list itself ends in a q = 1 pair (so the
     trailing pair is never mistaken for the obstruction term on re-parse).
     Each distinct pair is formatted once.
     """
-    base = "o1" if M.base.orientable else "n1"
+    _refuse_non_descriptor(M)
+    return _print_head(M.base) + _print_body(M)
+
+
+def _print_head(base: BaseSurface) -> str:
+    return f"({base.genus},{'o1' if base.orientable else 'n1'}|"
+
+
+def _print_body(M: SeifertInvariants) -> str:
     text = {(q, p): f"({q},{p})" for q, p in M.tally}
     items = list(map(text.__getitem__, M.pairs))
     if M.b != 0 or (M.pairs and M.pairs[-1][0] == 1):
         items.append(f"(1,{M.b})")
-    return f"({M.base.genus},{base}|{','.join(items)})"
+    return ",".join(items) + ")"
 
 
 def normalize(M: SeifertInvariants) -> SeifertInvariants:
@@ -293,6 +309,7 @@ def normalize(M: SeifertInvariants) -> SeifertInvariants:
     number is preserved exactly.  A descriptor that is already normal is
     returned as it is.  Each distinct pair is folded once.
     """
+    _refuse_non_descriptor(M)
     if all(0 < p < q for q, p in M.tally):
         return M
     b = M.b
@@ -395,7 +412,9 @@ class Rational:
 def _tally_sums(M: SeifertInvariants) -> tuple[int, int, int]:
     """(L, sum of count*p*(L/q), sum of count*(L - L/q)) over ``M.tally``,
     with L = lcm(q_i), in one pass: whenever a pair's q grows L, the sums
-    taken so far are scaled up with it."""
+    taken so far are scaled up with it.  Refuses anything but a descriptor,
+    for ``euler_number`` and ``orbifold_euler_characteristic``."""
+    _refuse_non_descriptor(M)
     L = 1
     fibers = deficit = 0
     for (q, p), count in M.tally.items():

@@ -126,6 +126,8 @@ def fixed_point_data(c: SurfaceInvolutionClass) -> FixedPointData:
     spit(g,r) has quotient genus r, so Riemann-Hurwitz for a branched double
     cover, 2 - 2g = 2(2 - 2r) - k, gives k = 2g + 2 - 4r isolated points.
     """
+    if not isinstance(c, SurfaceInvolutionClass):
+        raise ValueError(f"surface class must be a SurfaceInvolutionClass, got {c!r}")
     k = c.kind
     if k is InvolutionKind.ID:
         return FixedPointData(entire_surface=True)

@@ -141,6 +141,18 @@ class TestInvariantsDerivedOnce:
         ],
     )
     def test_one_call_each(self, argv, monkeypatch):
+        assert self.calls(argv, monkeypatch) == dict.fromkeys(self.COUNTED, 1), argv
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_enumerate_once_per_fiber_count(self, json_flag, monkeypatch):
+        # 4 genera times the 5 even fiber counts 0-8: 20 rows.  Each fiber
+        # count is normalized and has its e computed once; chi_orb reads the
+        # base, so each row computes it again after its count's check.
+        argv = ["enumerate", "--gmax", "3", "--nmax", "8", *json_flag]
+        calls = self.calls(argv, monkeypatch)
+        assert calls == {"normalize": 5, "euler_number": 5, "orbifold_euler_characteristic": 25}
+
+    def calls(self, argv, monkeypatch):
         calls = dict.fromkeys(self.COUNTED, 0)
         for name in self.COUNTED:
             original = getattr(invariants, name)
@@ -153,7 +165,7 @@ class TestInvariantsDerivedOnce:
                 if vars(module).get(name) is original:
                     monkeypatch.setattr(module, name, counted)
         run(argv)
-        assert calls == dict.fromkeys(self.COUNTED, 1), argv
+        return calls
 
 
 class TestUsageErrors:
@@ -208,6 +220,33 @@ class TestEnumerate:
             cli.main(["enumerate", "--help"])
         help_text = capsys.readouterr().out
         assert f"0 to {g_cap}" in help_text and f"0 to {n_cap}" in help_text
+
+
+class TestEnumerateRowByRow:
+    """enumerate's output against rows built one descriptor at a time: for
+    each descriptor of ``enumerate_admissible(50, 100)``, its text and
+    ``check_admissible``'s case and geometry; a smaller window's rows are
+    the ones with genus and fiber count inside it, in the same order."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        rows = []
+        for M in admissibility.enumerate_admissible(50, 100):
+            report = admissibility.check_admissible(M)
+            text = str(M)
+            assert invariants.parse_seifert(text) == M
+            row = {"descriptor": text, "case": report.case_label, "geometry": report.geometry.value}
+            rows.append((M.base.genus, len(M.pairs), row))
+        return rows
+
+    @pytest.mark.parametrize("gmax, nmax", [(50, 100), (0, 0), (0, 1), (7, 13), (20, 60)])
+    def test_window(self, reference, gmax, nmax):
+        expected = [row for g, n, row in reference if g <= gmax and n <= nmax]
+        argv = ["enumerate", "--gmax", str(gmax), "--nmax", str(nmax)]
+        lines = [f"{r['descriptor']}  case={r['case']}  geometry={r['geometry']}" for r in expected]
+        assert run(argv).message.split("\n") == lines
+        payload = json.loads(run([*argv, "--json"]).message)
+        assert payload == {"schema": "1", "gmax": gmax, "nmax": nmax, "descriptors": expected}
 
 
 class TestMcg:

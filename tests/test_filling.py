@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -313,6 +314,14 @@ class TestVerifyConstruction:
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
             verify_v221_construction([IntMatrix2(-1, 1, 0, 1)])
+
+    @pytest.mark.parametrize("entries", [(-1.0, 0, 0, 1), (-1, 0, 0, True), (-1, 0.0, 0, 1)])
+    def test_rejects_non_int_outer(self, entries):
+        # Read by value, each of these is the fiber flip and would pass.
+        outer = IntMatrix2(*entries)
+        message = f"^{re.escape(f'matrix entries must be integers, got {outer}')}$"
+        with pytest.raises(ValueError, match=message):
+            verify_v221_construction(outer=outer)
 
 
 class TestBoundaryHomologyIdentity:

@@ -18,7 +18,14 @@ from seifinv import (
     InvolutionKind,
     SeifertInvariants,
     SurfaceInvolutionClass,
+    check_admissible,
+    euler_number,
+    extension_condition,
     fixed_point_data,
+    lift_to_double_cover,
+    normalize,
+    orbifold_euler_characteristic,
+    print_seifert,
 )
 
 ID, SPIT, ROT, REFL, ANTI = (
@@ -102,6 +109,53 @@ def test_refusal_messages(record, args, message):
     with pytest.raises(ValueError) as exc:
         record(*args)
     assert str(exc.value) == message
+
+
+# (public function, the record it takes, the refusal's name for its argument)
+TAKERS = [
+    (check_admissible, "SeifertInvariants", "descriptor"),
+    (normalize, "SeifertInvariants", "descriptor"),
+    (euler_number, "SeifertInvariants", "descriptor"),
+    (orbifold_euler_characteristic, "SeifertInvariants", "descriptor"),
+    (print_seifert, "SeifertInvariants", "descriptor"),
+    (lift_to_double_cover, "SeifertInvariants", "descriptor"),
+    (extension_condition, "FillingSlope", "slope"),
+    (fixed_point_data, "SurfaceInvolutionClass", "surface class"),
+]
+# Each a plain tuple, a string or a record of another type; a record is
+# refused by every function that does not take its type.
+WRONG_ARGUMENTS = [
+    (BaseSurface(0), ((2, 1), (2, 1)), -1),
+    (1, 2),
+    (SPIT, 2, 0),
+    "(0,o1|(2,1),(2,1),(1,-1))",
+    "(1,2)",
+    "spit(2,0)",
+    SeifertInvariants(BaseSurface(2, False), ((2, 1),), -1),
+    FillingSlope(1, 2),
+    SurfaceInvolutionClass(SPIT, 2, 0),
+    BaseSurface(1),
+    IntMatrix2(-1, 0, 0, 1),
+]
+
+
+WRONG_TYPES = [
+    (function, takes, name, argument)
+    for function, takes, name in TAKERS
+    for argument in WRONG_ARGUMENTS
+    if type(argument).__name__ != takes
+]
+
+
+@pytest.mark.parametrize(
+    "function, takes, name, argument",
+    WRONG_TYPES,
+    ids=[f"{w[0].__name__}-{w[3]!r}" for w in WRONG_TYPES],
+)
+def test_entry_points_refuse_other_types(function, takes, name, argument):
+    with pytest.raises(ValueError) as exc:
+        function(argument)
+    assert str(exc.value) == f"{name} must be a {takes}, got {argument!r}"
 
 
 @pytest.mark.parametrize(
