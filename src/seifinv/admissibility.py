@@ -73,20 +73,20 @@ def _violations(N: SeifertInvariants, e: Rational) -> tuple[Violation, ...]:
     return tuple(out)
 
 
-def _case_and_geometry(N: SeifertInvariants, chi: Rational) -> tuple[str, GeometryType]:
-    # N is normalized and admissible, chi is its orbifold Euler
-    # characteristic.  The sign of chi, which is the sign of its numerator
-    # since the denominator is positive, picks the major case and the
-    # geometry; (genus, n) picks the letter.
-    g = N.base.genus
+def _case_and_geometry(genus: int, fibered: bool, chi: Rational) -> tuple[str, GeometryType]:
+    # The case and geometry of a normalized admissible descriptor of base
+    # genus ``genus``, with exceptional fibers when ``fibered``, and orbifold
+    # Euler characteristic chi.  The sign of chi, which is the sign of its
+    # numerator since the denominator is positive, picks the major case and
+    # the geometry; (genus, n) picks the letter.
     sign = chi.numerator
     if sign > 0:
-        return ("1a" if not N.pairs else "1b"), GeometryType.S2xR
+        return ("1b" if fibered else "1a"), GeometryType.S2xR
     if sign == 0:
-        return ("2a" if g == 0 else "2b"), GeometryType.E3
-    if g >= 2:
+        return ("2a" if genus == 0 else "2b"), GeometryType.E3
+    if genus >= 2:
         return "3a", GeometryType.H2xR
-    return ("3b" if g == 1 else "3c"), GeometryType.H2xR
+    return ("3b" if genus == 1 else "3c"), GeometryType.H2xR
 
 
 def check_admissible(M: SeifertInvariants) -> AdmissibilityReport:
@@ -113,7 +113,7 @@ def check_admissible(M: SeifertInvariants) -> AdmissibilityReport:
     violations = _violations(N, e)
     if violations:
         return AdmissibilityReport(False, violations, None, GeometryType.OTHER, N, e, chi)
-    label, geom = _case_and_geometry(N, chi)
+    label, geom = _case_and_geometry(N.base.genus, bool(N.pairs), chi)
     return AdmissibilityReport(True, violations, label, geom, N, e, chi)
 
 

@@ -7,7 +7,9 @@ is a group, and its arguments are its own table.  Every leaf command also
 takes ``--json``.  ``run`` builds the argparse parser from the table on each
 call, imports the module of the command it parsed, and ``_finish`` renders
 the handler's text lines or, with ``--json``, its payload.  A process thus
-compiles the one handler it runs.
+compiles the one handler it runs.  Every payload is rendered by the one
+renderer ``_indented``, whose output is byte-identical to
+``json.dumps(payload, indent=2)``; ``json`` is imported only with ``--json``.
 
 Exit codes: 0 on success, 1 for parse/domain errors, 2 for usage errors.
 All JSON payloads carry a top-level ``"schema": "1"`` field.  Output is
@@ -87,12 +89,59 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str, table) -> None:
         p.set_defaults(module=module)
 
 
+def _indented(payload) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, for dicts with str
+    keys, lists, str, int, bool and None; a value of any other type is
+    handed to ``json.dumps`` itself.
+
+    Strings go through the C ``encode_basestring_ascii``.  A list whose rows
+    are all dicts with the first row's keys, in its order, and scalar values
+    is rendered by one %-format of its rows' template repeated; any other
+    list takes the general path.
+    """
+    from itertools import chain
+    from json import dumps
+    from json.encoder import encode_basestring_ascii as text
+
+    def scalar(v):  # the JSON text of a str, int, bool or None, else None
+        if type(v) is str:
+            return text(v)
+        if v is None or v is True or v is False:
+            return "null" if v is None else "true" if v else "false"
+        return int.__repr__(v) if type(v) is int else None
+
+    def render(v, nl):
+        if (s := scalar(v)) is not None:
+            return s
+        inner = nl + "  "
+        if type(v) is dict and v:
+            items = [text(k) + ": " + render(x, inner) for k, x in v.items()]
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+        if type(v) is list and v:
+            return "[" + inner + rows(v, inner) + nl + "]"
+        return dumps(v, indent=2).replace("\n", nl)
+
+    def rows(v, nl):  # the items of a non-empty list, joined
+        sep, keys = "," + nl, type(v[0]) is dict and tuple(v[0])
+        if keys and all(type(row) is dict and tuple(row) == keys for row in v):
+            cells = tuple(map(scalar, chain.from_iterable(map(dict.values, v))))
+            if None not in cells:
+                inner = nl + "  "
+                fields = [text(k).replace("%", "%%") + ": %s" for k in keys]
+                row = "{" + inner + ("," + inner).join(fields) + nl + "}"
+                return sep.join([row] * len(v)) % cells
+        return sep.join([render(x, nl) for x in v])
+
+    return render(payload, "\n")
+
+
 def _finish(args, payload: dict, lines: list[str]) -> CommandResult:
+    """The command's result: its text lines joined, or with ``--json`` its
+    payload, schema first, as ``_indented`` renders it, byte-identical to
+    ``json.dumps(payload, indent=2)``."""
     payload = {"schema": SCHEMA, **payload}
     if args.json:
-        import json
-
-        return CommandResult("ok", payload, json.dumps(payload, indent=2), 0)
+        return CommandResult("ok", payload, _indented(payload), 0)
     return CommandResult("ok", payload, "\n".join(lines), 0)
 
 

@@ -144,7 +144,8 @@ def verify_v221_construction(
     fixed order); the outer action is diag(-1,1) and equals the action the
     inner actions induce on the outer torus.  Any single-entry perturbation
     of the standard inner or outer data fails at least one check.  An
-    ``outer`` with a non-``int`` entry is refused, as the inner actions are.
+    ``outer`` that is not an ``IntMatrix2`` or has a non-``int`` entry is
+    refused, as the inner actions are.
     """
     _refuse_non_int(outer)
     inner = tuple(inner)

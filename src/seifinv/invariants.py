@@ -448,4 +448,10 @@ def orbifold_euler_characteristic(M: SeifertInvariants) -> Rational:
     reduced once at the end.
     """
     L, _, deficit = _tally_sums(M)
-    return Rational(M.base.euler_characteristic() * L - deficit, L)
+    return _chi(M.base, L, deficit)
+
+
+def _chi(base: BaseSurface, L: int, deficit: int) -> Rational:
+    """chi_orb on ``base`` of fibers whose ``_tally_sums`` are ``L`` and
+    ``deficit``; ``enumerate`` reuses one fiber count's sums on every base."""
+    return Rational(base.euler_characteristic() * L - deficit, L)

@@ -52,9 +52,12 @@ class InvolutionClassLabel(Enum):
 
 def _refuse_non_int(*matrices: IntMatrix2) -> None:
     # IntMatrix2 stores its entries as given, so the public functions refuse
-    # non-int entries here rather than in its constructor, which
-    # find_conjugator's inner loop would pay for.
+    # anything but an IntMatrix2, and non-int entries, here rather than in
+    # its constructor, which find_conjugator's inner loop would pay for.  A
+    # plain tuple is refused though it may equal an IntMatrix2.
     for A in matrices:
+        if not isinstance(A, IntMatrix2):
+            raise ValueError(f"matrix must be an IntMatrix2, got {A!r}")
         if not all(type(v) is int for v in A):
             raise ValueError(f"matrix entries must be integers, got {A}")
 
@@ -83,8 +86,9 @@ def involution_class(A: IntMatrix2) -> InvolutionClassLabel:
 
     Determinant -1 involutions are ReflType exactly when A is congruent to
     the identity mod 2, AntiType otherwise; the test suite checks this
-    against exhaustive conjugator search on a bounded window.  A matrix with
-    a non-int entry is refused with ``ValueError``.
+    against exhaustive conjugator search on a bounded window.  Anything but
+    an ``IntMatrix2``, and a matrix with a non-int entry, is refused with
+    ``ValueError``.
     """
     if not is_involution(A):
         raise ValueError(f"{A} is not an involution")
@@ -161,8 +165,8 @@ def find_conjugator(A: IntMatrix2, B: IntMatrix2, bound: int) -> IntMatrix2 | No
     Returns the identity immediately when A == B; otherwise scans candidates
     in lexicographic entry order and returns the first hit, or ``None`` when
     the window is exhausted.  Absence within the window is a value, not an
-    error.  ``bound`` is an int from 1 to ``MAX_BOUND`` (32), and every
-    entry of ``A`` and ``B`` an int; anything else is refused with
+    error.  ``bound`` is an int from 1 to ``MAX_BOUND`` (32), and ``A`` and
+    ``B`` are ``IntMatrix2`` with int entries; anything else is refused with
     ``ValueError``.
     """
     _refuse_non_int(A, B)

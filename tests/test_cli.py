@@ -146,11 +146,22 @@ class TestInvariantsDerivedOnce:
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_enumerate_once_per_fiber_count(self, json_flag, monkeypatch):
         # 4 genera times the 5 even fiber counts 0-8: 20 rows.  Each fiber
-        # count is normalized and has its e computed once; chi_orb reads the
-        # base, so each row computes it again after its count's check.
+        # count is built, normalized and has e and chi_orb computed once; a
+        # row builds no record and computes no invariant through the public
+        # functions.
+        records = 0
+        on_base = invariants.SeifertInvariants._on_base.__func__
+
+        def counted(cls, *args):
+            nonlocal records
+            records += 1
+            return on_base(cls, *args)
+
+        monkeypatch.setattr(invariants.SeifertInvariants, "_on_base", classmethod(counted))
         argv = ["enumerate", "--gmax", "3", "--nmax", "8", *json_flag]
         calls = self.calls(argv, monkeypatch)
-        assert calls == {"normalize": 5, "euler_number": 5, "orbifold_euler_characteristic": 25}
+        assert calls == dict.fromkeys(self.COUNTED, 5)
+        assert records == 5
 
     def calls(self, argv, monkeypatch):
         calls = dict.fromkeys(self.COUNTED, 0)

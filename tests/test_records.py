@@ -21,12 +21,19 @@ from seifinv import (
     check_admissible,
     euler_number,
     extension_condition,
+    find_conjugator,
     fixed_point_data,
+    involution_class,
+    is_involution,
     lift_to_double_cover,
+    mat_det,
+    mat_mul,
     normalize,
     orbifold_euler_characteristic,
     print_seifert,
 )
+from seifinv.filling import verify_v221_construction
+from seifinv.torus_mcg import IDENTITY
 
 ID, SPIT, ROT, REFL, ANTI = (
     InvolutionKind.ID,
@@ -121,7 +128,20 @@ TAKERS = [
     (lift_to_double_cover, "SeifertInvariants", "descriptor"),
     (extension_condition, "FillingSlope", "slope"),
     (fixed_point_data, "SurfaceInvolutionClass", "surface class"),
+    (mat_det, "IntMatrix2", "matrix"),
+    (mat_mul, "IntMatrix2", "matrix"),
+    (is_involution, "IntMatrix2", "matrix"),
+    (involution_class, "IntMatrix2", "matrix"),
+    (find_conjugator, "IntMatrix2", "matrix"),
+    (verify_v221_construction, "IntMatrix2", "matrix"),
 ]
+# The call of a function that takes more than the one argument refused,
+# with that argument in the place named.
+CALLS = {
+    mat_mul: lambda A: mat_mul(IDENTITY, A),
+    find_conjugator: lambda A: find_conjugator(A, IDENTITY, 5),
+    verify_v221_construction: lambda A: verify_v221_construction(outer=A),
+}
 # Each a plain tuple, a string or a record of another type; a record is
 # refused by every function that does not take its type.
 WRONG_ARGUMENTS = [
@@ -136,6 +156,7 @@ WRONG_ARGUMENTS = [
     SurfaceInvolutionClass(SPIT, 2, 0),
     BaseSurface(1),
     IntMatrix2(-1, 0, 0, 1),
+    (1, 0, 0, -1),
 ]
 
 
@@ -154,8 +175,9 @@ WRONG_TYPES = [
 )
 def test_entry_points_refuse_other_types(function, takes, name, argument):
     with pytest.raises(ValueError) as exc:
-        function(argument)
-    assert str(exc.value) == f"{name} must be a {takes}, got {argument!r}"
+        CALLS.get(function, function)(argument)
+    article = "an" if takes[0] in "AEIOU" else "a"
+    assert str(exc.value) == f"{name} must be {article} {takes}, got {argument!r}"
 
 
 @pytest.mark.parametrize(
