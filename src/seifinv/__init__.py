@@ -16,6 +16,19 @@ layers' ``__all__`` and are served from the layer that exports them.
 import importlib.util
 import sys
 
+
+def _require(value, kind, name):
+    """``value`` if its type is exactly ``kind``, else a ``ValueError`` naming
+    ``name``: the one type rule of fields and arguments.  It converts nothing,
+    so a bool is no int.  Layers import it here without loading each other."""
+    if type(value) is not kind:
+        if kind is int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+    return value
+
+
 _LAYERS = ("invariants", "admissibility", "surfaces", "torus_mcg", "filling", "census")
 
 for _layer in _LAYERS:

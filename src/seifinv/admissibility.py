@@ -12,12 +12,12 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
+from . import _require
 from .invariants import (
     BaseSurface,
     GeometryType,
     Rational,
     SeifertInvariants,
-    _refuse_non_descriptor,
     euler_number,
     normalize,
     orbifold_euler_characteristic,
@@ -102,7 +102,7 @@ def check_admissible(M: SeifertInvariants) -> AdmissibilityReport:
     Non-orientable bases are rejected: lift those to the
     orientable double cover first (``census.lift_to_double_cover``).
     """
-    _refuse_non_descriptor(M)
+    _require(M, SeifertInvariants, "descriptor")
     if not M.base.orientable:
         raise ValueError(
             "non-orientable base: lift to the orientable-base double cover first "
@@ -129,14 +129,12 @@ def enumerate_admissible(g_max: int, n_max: int) -> list[SeifertInvariants]:
 
     Ordered lexicographically by (genus, n) so output is reproducible.  The
     descriptor of genus g and n fibers is (g, o1 | (2,1) x n, (1,-n/2)).  No
-    admissibility condition reads the genus, so the work that reads the
-    fibers is shared per fiber count: ``_window`` builds one descriptor per
-    n through the full constructor, on the genus-0 base, and the row of
-    every other genus is that descriptor with only its base replaced
-    (``_replace(base=...)``), so the rows of one n share its checked
-    ``pairs`` tuple, ``b`` and ``tally``.  ``g_max`` runs from 0 to
-    ``MAX_GMAX`` (50) and ``n_max`` from 0 to ``MAX_NMAX`` (100); any other
-    value is refused with ``ValueError`` before a descriptor is built.
+    admissibility condition reads the genus, so ``_window`` builds one
+    descriptor per n, on the genus-0 base, and each other row replaces only
+    its base (``_replace(base=...)``), sharing its checked pairs, ``b`` and
+    ``tally``.  ``g_max`` runs from 0 to ``MAX_GMAX`` (50) and ``n_max``
+    from 0 to ``MAX_NMAX`` (100); any other bound is refused before a
+    descriptor is built.
     """
     bases, fibers = _window(g_max, n_max)
     return [M._replace(base=base) for base in bases for M in fibers]
@@ -145,9 +143,8 @@ def enumerate_admissible(g_max: int, n_max: int) -> list[SeifertInvariants]:
 def _window(g_max: int, n_max: int) -> tuple[list[BaseSurface], list[SeifertInvariants]]:
     """The window's orientable bases, genus 0 to ``g_max``, and its
     descriptor of each even fiber count n <= ``n_max`` on the first of them."""
-    for name, bound in (("gmax", g_max), ("nmax", n_max)):
-        if type(bound) is not int:
-            raise ValueError(f"{name} must be an integer, got {bound!r}")
+    _require(g_max, int, "gmax")
+    _require(n_max, int, "nmax")
     if g_max < 0 or n_max < 0:
         raise ValueError("enumeration bounds must be non-negative")
     if g_max > MAX_GMAX:

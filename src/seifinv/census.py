@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import filling, surfaces
+from . import _require, filling, surfaces
 from .admissibility import AdmissibilityReport, check_admissible
 from .invariants import (
     BaseSurface,
     Rational,
     SeifertInvariants,
-    _refuse_non_descriptor,
     euler_number,
     orbifold_euler_characteristic,
 )
@@ -68,11 +67,8 @@ class FactorizationRecord(_RecordFields):
     ):
         if fiber_orientation not in (PRESERVED, REVERSED):
             raise ValueError(f"unknown fiber orientation {fiber_orientation!r}")
-        if not isinstance(surface_class, surfaces.SurfaceInvolutionClass):
-            raise ValueError(
-                f"surface class must be a SurfaceInvolutionClass, got {surface_class!r}"
-            )
-        fixed_boundary_count = int(fixed_boundary_count)
+        _require(surface_class, surfaces.SurfaceInvolutionClass, "surface class")
+        _require(fixed_boundary_count, int, "fixed boundary count")
         if fixed_boundary_count < 0:
             raise ValueError("fixed boundary count must be non-negative")
         return super().__new__(cls, fiber_orientation, surface_class, fixed_boundary_count)
@@ -171,7 +167,7 @@ def lift_to_double_cover(M: SeifertInvariants) -> tuple[SeifertInvariants, Doubl
     report carries the computed doubling checks for the Euler number and
     the orbifold Euler characteristic, plus the cover's admissibility.
     """
-    _refuse_non_descriptor(M)
+    _require(M, SeifertInvariants, "descriptor")
     if M.base.orientable:
         raise ValueError("double-cover lift applies to non-orientable bases only")
     cover_base = BaseSurface(M.base.genus - 1, True)

@@ -29,6 +29,7 @@ import itertools
 import math
 from typing import NamedTuple
 
+from . import _require
 from .torus_mcg import IntMatrix2, _refuse_non_int, is_involution
 
 __all__ = [
@@ -52,14 +53,14 @@ class _SlopeFields(NamedTuple):
 class FillingSlope(_SlopeFields):
     """Coprime pair (m, l); (m, l) and (-m, -l) name the same filling.
 
-    Stored as ``int(...)`` of what is given, with l >= 0, and m > 0 when
-    l = 0.
+    Stored with l >= 0, and m > 0 when l = 0.
     """
 
     __slots__ = ()
 
     def __new__(cls, m: int, l: int):
-        m, l = int(m), int(l)
+        _require(m, int, "m")
+        _require(l, int, "l")
         if (m, l) == (0, 0):
             raise ValueError("slope (0,0) does not name a curve")
         if math.gcd(m, l) != 1:
@@ -83,8 +84,7 @@ def extension_condition(filling: FillingSlope) -> frozenset[IntMatrix2]:
     one sign eps, so A = eps*[[1, -2m/l], [0, -1]], with det A = -1:
     {+-[[1,-1],[0,-1]]} for (1,2) and {+-[[1,-2x],[0,-1]]} for (x,1).
     """
-    if not isinstance(filling, FillingSlope):
-        raise ValueError(f"slope must be a FillingSlope, got {filling!r}")
+    _require(filling, FillingSlope, "slope")
     # The closed form also answers (m,2) for odd m != 1, but the benchmark
     # oracle (seifbench/oracle.py) pins the refusal of those slopes, so the
     # scope stays at the two worked families.
@@ -143,9 +143,7 @@ def verify_v221_construction(
     its extension condition (the assignments are searched, not paired in a
     fixed order); the outer action is diag(-1,1) and equals the action the
     inner actions induce on the outer torus.  Any single-entry perturbation
-    of the standard inner or outer data fails at least one check.  An
-    ``outer`` that is not an ``IntMatrix2`` or has a non-``int`` entry is
-    refused, as the inner actions are.
+    of the standard inner or outer data fails at least one check.
     """
     _refuse_non_int(outer)
     inner = tuple(inner)

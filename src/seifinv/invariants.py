@@ -31,6 +31,8 @@ from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
 
+from . import _require
+
 __all__ = [
     "BaseSurface",
     "GeometryType",
@@ -95,7 +97,7 @@ class BaseSurface(_BaseSurfaceFields):
     __slots__ = ()
 
     def __new__(cls, genus: int, orientable: bool = True):
-        genus = int(genus)
+        _require(genus, int, "genus")
         if type(orientable) is not bool:
             raise ValueError(f"orientable must be True or False, got {orientable!r}")
         if problem := _base_problem(genus, orientable):
@@ -121,36 +123,32 @@ class _SeifertFields(NamedTuple):
 class SeifertInvariants(_SeifertFields):
     """Descriptor (g, o1 | (q1,p1), ..., (1,b)) with exact integer data.
 
-    ``b`` and the pair entries are stored as ``int(...)`` of what is given,
-    as the genus of a ``BaseSurface`` is; ``base`` must be a ``BaseSurface``,
-    and anything else is refused with ``ValueError``.
-
     ``tally`` maps each distinct pair to its multiplicity, in first-seen
     order; the invariants are computed from it, once per distinct pair.  It
     is derived from ``pairs`` and kept outside the tuple, so it takes no part
     in equality, hashing or repr.  It is a read-only mapping, and records
-    with the same pairs may share it.  The constructor converts, counts and
-    checks every pair; ``parse_seifert`` and ``normalize``, which build
-    checked int pairs, and ``_replace(base=...)``, which keeps them, pass
-    their fields to ``_on_base`` instead.  Every other ``_replace`` and
-    ``_make`` runs the constructor.
+    with the same pairs may share it.  The constructor checks every pair
+    entry before it counts, since ``(2.0, 1)`` would count as ``(2, 1)``;
+    ``parse_seifert`` and ``normalize``, which build checked int pairs, and
+    ``_replace(base=...)``, which keeps them, pass their fields to
+    ``_on_base`` instead.  Every other ``_replace`` and ``_make`` runs the
+    constructor.
     """
 
     def __new__(cls, base: BaseSurface, pairs=(), b: int = 0):
-        pairs = tuple((int(q), int(p)) for q, p in pairs)
+        pairs = tuple((_require(q, int, "q"), _require(p, int, "p")) for q, p in pairs)
         tally = Counter(pairs)
         for q, p in tally:
             if problem := _pair_problem(q, p):
                 raise ValueError(problem)
-        return cls._on_base(base, pairs, int(b), MappingProxyType(tally))
+        return cls._on_base(base, pairs, _require(b, int, "b"), MappingProxyType(tally))
 
     @classmethod
     def _on_base(cls, base, pairs, b, tally):
         """The record on ``base``, checked here, of fields the caller vouches
         for: ``pairs`` a tuple of (int, int) tuples that pass ``_pair_problem``,
         ``b`` an int and ``tally`` a read-only mapping equal to ``Counter(pairs)``."""
-        if not isinstance(base, BaseSurface):
-            raise ValueError(f"base must be a BaseSurface, got {base!r}")
+        _require(base, BaseSurface, "base")
         self = super().__new__(cls, base, pairs, b)
         object.__setattr__(self, "tally", tally)
         return self
@@ -270,11 +268,6 @@ def parse_seifert(text: str) -> SeifertInvariants:
     return SeifertInvariants._on_base(BaseSurface(genus, orientable), pairs, b, tally)
 
 
-def _refuse_non_descriptor(M) -> None:
-    if not isinstance(M, SeifertInvariants):
-        raise ValueError(f"descriptor must be a SeifertInvariants, got {M!r}")
-
-
 def print_seifert(M: SeifertInvariants) -> str:
     """Canonical text form; ``parse_seifert(print_seifert(M)) == M``.
 
@@ -286,7 +279,7 @@ def print_seifert(M: SeifertInvariants) -> str:
     trailing pair is never mistaken for the obstruction term on re-parse).
     Each distinct pair is formatted once.
     """
-    _refuse_non_descriptor(M)
+    _require(M, SeifertInvariants, "descriptor")
     return _print_head(M.base) + _print_body(M)
 
 
@@ -309,7 +302,7 @@ def normalize(M: SeifertInvariants) -> SeifertInvariants:
     number is preserved exactly.  A descriptor that is already normal is
     returned as it is.  Each distinct pair is folded once.
     """
-    _refuse_non_descriptor(M)
+    _require(M, SeifertInvariants, "descriptor")
     if all(0 < p < q for q, p in M.tally):
         return M
     b = M.b
@@ -414,7 +407,7 @@ def _tally_sums(M: SeifertInvariants) -> tuple[int, int, int]:
     with L = lcm(q_i), in one pass: whenever a pair's q grows L, the sums
     taken so far are scaled up with it.  Refuses anything but a descriptor,
     for ``euler_number`` and ``orbifold_euler_characteristic``."""
-    _refuse_non_descriptor(M)
+    _require(M, SeifertInvariants, "descriptor")
     L = 1
     fibers = deficit = 0
     for (q, p), count in M.tally.items():

@@ -11,6 +11,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
+from . import _require
+
 __all__ = [
     "FixedPointData",
     "InvolutionKind",
@@ -41,9 +43,9 @@ class SurfaceInvolutionClass(_SurfaceInvolutionFields):
     __slots__ = ()
 
     def __new__(cls, kind: InvolutionKind, g: int, r: int = 0):
-        if not isinstance(kind, InvolutionKind):
-            raise ValueError(f"kind must be an InvolutionKind, got {kind!r}")
-        g, r = int(g), int(r)
+        _require(kind, InvolutionKind, "kind")
+        _require(g, int, "g")
+        _require(r, int, "r")
         if g < 0 or r < 0:
             raise ValueError("genus and r must be non-negative")
         if kind in (InvolutionKind.ID, InvolutionKind.ROT) and r != 0:
@@ -96,11 +98,10 @@ def classes_for_genus(g: int, selection: str = "all") -> list[SurfaceInvolutionC
     """Complete class list for genus g, optionally filtered by orientation.
 
     ``selection`` is one of "all", "preserving", "reversing".  ``g`` runs
-    from 0 to ``MAX_GENUS`` (50); any other value is refused with
-    ``ValueError`` before a class is built.
+    from 0 to ``MAX_GENUS`` (50); any other genus is refused before a class
+    is built.
     """
-    if type(g) is not int:
-        raise ValueError(f"genus must be an integer, got {g!r}")
+    _require(g, int, "genus")
     if g < 0:
         raise ValueError("genus must be non-negative")
     if g > MAX_GENUS:
@@ -126,8 +127,7 @@ def fixed_point_data(c: SurfaceInvolutionClass) -> FixedPointData:
     spit(g,r) has quotient genus r, so Riemann-Hurwitz for a branched double
     cover, 2 - 2g = 2(2 - 2r) - k, gives k = 2g + 2 - 4r isolated points.
     """
-    if not isinstance(c, SurfaceInvolutionClass):
-        raise ValueError(f"surface class must be a SurfaceInvolutionClass, got {c!r}")
+    _require(c, SurfaceInvolutionClass, "surface class")
     k = c.kind
     if k is InvolutionKind.ID:
         return FixedPointData(entire_surface=True)

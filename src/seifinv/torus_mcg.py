@@ -15,6 +15,8 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
+from . import _require
+
 __all__ = [
     "IDENTITY",
     "IntMatrix2",
@@ -51,13 +53,11 @@ class InvolutionClassLabel(Enum):
 
 
 def _refuse_non_int(*matrices: IntMatrix2) -> None:
-    # IntMatrix2 stores its entries as given, so the public functions refuse
-    # anything but an IntMatrix2, and non-int entries, here rather than in
-    # its constructor, which find_conjugator's inner loop would pay for.  A
-    # plain tuple is refused though it may equal an IntMatrix2.
+    # IntMatrix2 stores its entries as given: the public functions check
+    # them here, not in its constructor, which find_conjugator's inner loop
+    # would pay for.
     for A in matrices:
-        if not isinstance(A, IntMatrix2):
-            raise ValueError(f"matrix must be an IntMatrix2, got {A!r}")
+        _require(A, IntMatrix2, "matrix")
         if not all(type(v) is int for v in A):
             raise ValueError(f"matrix entries must be integers, got {A}")
 
@@ -86,9 +86,7 @@ def involution_class(A: IntMatrix2) -> InvolutionClassLabel:
 
     Determinant -1 involutions are ReflType exactly when A is congruent to
     the identity mod 2, AntiType otherwise; the test suite checks this
-    against exhaustive conjugator search on a bounded window.  Anything but
-    an ``IntMatrix2``, and a matrix with a non-int entry, is refused with
-    ``ValueError``.
+    against exhaustive conjugator search on a bounded window.
     """
     if not is_involution(A):
         raise ValueError(f"{A} is not an involution")
@@ -165,12 +163,11 @@ def find_conjugator(A: IntMatrix2, B: IntMatrix2, bound: int) -> IntMatrix2 | No
     Returns the identity immediately when A == B; otherwise scans candidates
     in lexicographic entry order and returns the first hit, or ``None`` when
     the window is exhausted.  Absence within the window is a value, not an
-    error.  ``bound`` is an int from 1 to ``MAX_BOUND`` (32), and ``A`` and
-    ``B`` are ``IntMatrix2`` with int entries; anything else is refused with
-    ``ValueError``.
+    error.  ``bound`` runs from 1 to ``MAX_BOUND`` (32); any other bound is
+    refused with ``ValueError``.
     """
     _refuse_non_int(A, B)
-    if type(bound) is not int or bound < 1:
+    if _require(bound, int, "bound") < 1:
         raise ValueError("bound must be a positive integer")
     if bound > MAX_BOUND:
         raise ValueError(f"bound must be at most {MAX_BOUND}, got {bound}")

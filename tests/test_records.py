@@ -298,24 +298,35 @@ def test_replace_and_make_refuse_a_non_bool_orientable(flag):
         assert str(exc.value) == message
 
 
+def _refused(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+# The int fields are stored as given and only exact ints are given: a float
+# or a bool is refused, where it was once truncated or read as 0 or 1.
 def test_surface_class_stores_int_fields():
-    c = SurfaceInvolutionClass(SPIT, 2.0, 0)
+    c = SurfaceInvolutionClass(SPIT, 2, 0)
     assert type(c.g) is int and type(c.r) is int
-    assert c == SurfaceInvolutionClass(SPIT, 2, 0) and str(c) == "spit(2,0)"
-    assert str(fixed_point_data(c)) == "6 points"
-    c = SurfaceInvolutionClass(REFL, True, False)._replace(g=3.5)
-    assert tuple(c) == (REFL, 3, 0) and str(c) == "refl(3,0)"
+    assert str(c) == "spit(2,0)" and str(fixed_point_data(c)) == "6 points"
+    _refused(lambda: SurfaceInvolutionClass(SPIT, 2.0, 0), "g must be an integer, got 2.0")
+    _refused(lambda: SurfaceInvolutionClass(REFL, True, False), "g must be an integer, got True")
+    refl = SurfaceInvolutionClass(REFL, 3, 0)
+    _refused(lambda: refl._replace(g=3.5), "g must be an integer, got 3.5")
 
 
 def test_factorization_record_stores_an_int_count():
-    record = FactorizationRecord("preserved", SPIT00, 2.5)
+    record = FactorizationRecord("preserved", SPIT00, 2)
     assert type(record.fixed_boundary_count) is int
-    assert record == FactorizationRecord("preserved", SPIT00, 2)
-    assert tuple(record._replace(fixed_boundary_count=True)) == ("preserved", SPIT00, 1)
+    message = "fixed boundary count must be an integer, got {}"
+    _refused(lambda: FactorizationRecord("preserved", SPIT00, 2.5), message.format(2.5))
+    _refused(lambda: record._replace(fixed_boundary_count=True), message.format(True))
 
 
 def test_filling_slope_stores_int_fields():
-    slope = FillingSlope(True, 2)
-    assert type(slope.m) is int and type(slope.l) is int
-    assert slope == FillingSlope(1, 2) and str(slope) == "(1,2)"
-    assert str(FillingSlope(-3.0, -1.0)) == "(3,1)"
+    slope = FillingSlope(1, 2)
+    assert type(slope.m) is int and type(slope.l) is int and str(slope) == "(1,2)"
+    _refused(lambda: FillingSlope(True, 2), "m must be an integer, got True")
+    _refused(lambda: FillingSlope(-3.0, -1.0), "m must be an integer, got -3.0")
+    _refused(lambda: FillingSlope(3, -1.0), "l must be an integer, got -1.0")

@@ -166,8 +166,10 @@ class TestFindConjugator:
                     assert find_conjugator(A, B, bound) == expected, (A, B, bound)
 
     def test_rejects_bad_bound(self):
-        for bound in (0, 3.0, True):
-            with pytest.raises(ValueError, match="^bound must be a positive integer$"):
+        with pytest.raises(ValueError, match="^bound must be a positive integer$"):
+            find_conjugator(IDENTITY, IDENTITY, 0)
+        for bound in (3.0, True):
+            with pytest.raises(ValueError, match=f"^bound must be an integer, got {bound}$"):
                 find_conjugator(IDENTITY, IDENTITY, bound)
 
     @pytest.mark.parametrize("entries", [(1.0, 0, 0, 1), (1, 0, 0, True), (0, 1, 1, 0.0)])
