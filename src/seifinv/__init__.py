@@ -11,6 +11,9 @@ The six layer modules load on first use: importing the package registers
 each one with ``importlib.util.LazyLoader``, and a module body runs when one
 of its attributes is first read.  The public names are the union of the
 layers' ``__all__`` and are served from the layer that exports them.
+
+The records that check their fields share the base ``_Checked``, and every
+check of a type is ``_require``; layers import both here.
 """
 
 import importlib.util
@@ -20,13 +23,25 @@ import sys
 def _require(value, kind, name):
     """``value`` if its type is exactly ``kind``, else a ``ValueError`` naming
     ``name``: the one type rule of fields and arguments.  It converts nothing,
-    so a bool is no int.  Layers import it here without loading each other."""
+    so a bool is no int."""
     if type(value) is not kind:
         if kind is int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
         article = "an" if kind.__name__[0] in "AEIOU" else "a"
         raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
     return value
+
+
+class _Checked(tuple):
+    """Base of the records that check their fields in ``__new__``, each a
+    subclass of ``_Checked`` and of its ``NamedTuple``, whose body may not
+    define ``__new__``.  ``_make``, and so ``_replace``, builds through it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 _LAYERS = ("invariants", "admissibility", "surfaces", "torus_mcg", "filling", "census")

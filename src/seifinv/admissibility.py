@@ -128,16 +128,14 @@ def enumerate_admissible(g_max: int, n_max: int) -> list[SeifertInvariants]:
     """All normalized admissible descriptors with genus <= g_max and n <= n_max.
 
     Ordered lexicographically by (genus, n) so output is reproducible.  The
-    descriptor of genus g and n fibers is (g, o1 | (2,1) x n, (1,-n/2)).  No
-    admissibility condition reads the genus, so ``_window`` builds one
-    descriptor per n, on the genus-0 base, and each other row replaces only
-    its base (``_replace(base=...)``), sharing its checked pairs, ``b`` and
-    ``tally``.  ``g_max`` runs from 0 to ``MAX_GMAX`` (50) and ``n_max``
-    from 0 to ``MAX_NMAX`` (100); any other bound is refused before a
-    descriptor is built.
+    descriptor of genus g and n fibers is (g, o1 | (2,1) x n, (1,-n/2)).
+    ``_window`` builds each n's descriptor once, and the rows of one n share
+    its checked pairs, ``b`` and tally.  ``g_max`` runs from 0 to
+    ``MAX_GMAX`` (50) and ``n_max`` from 0 to ``MAX_NMAX`` (100); any other
+    bound is refused before a descriptor is built.
     """
     bases, fibers = _window(g_max, n_max)
-    return [M._replace(base=base) for base in bases for M in fibers]
+    return [M._on_base(base, M.pairs, M.b, M.tally) for base in bases for M in fibers]
 
 
 def _window(g_max: int, n_max: int) -> tuple[list[BaseSurface], list[SeifertInvariants]]:

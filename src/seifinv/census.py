@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import _require, filling, surfaces
+from . import _Checked, _require, filling, surfaces
 from .admissibility import AdmissibilityReport, check_admissible
 from .invariants import (
     BaseSurface,
@@ -48,7 +48,7 @@ class _RecordFields(NamedTuple):
     fixed_boundary_count: int
 
 
-class FactorizationRecord(_RecordFields):
+class FactorizationRecord(_Checked, _RecordFields):
     """One conjugacy case of the orientation-preserving factor.
 
     ``fiber_orientation`` records whether the factor preserves or reverses
@@ -72,10 +72,6 @@ class FactorizationRecord(_RecordFields):
         if fixed_boundary_count < 0:
             raise ValueError("fixed boundary count must be non-negative")
         return super().__new__(cls, fiber_orientation, surface_class, fixed_boundary_count)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class CensusReport(NamedTuple):

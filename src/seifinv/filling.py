@@ -29,8 +29,8 @@ import itertools
 import math
 from typing import NamedTuple
 
-from . import _require
-from .torus_mcg import IntMatrix2, _refuse_non_int, is_involution
+from . import _Checked, _require
+from .torus_mcg import IntMatrix2, is_involution
 
 __all__ = [
     "ConstructionReport",
@@ -50,7 +50,7 @@ class _SlopeFields(NamedTuple):
     l: int
 
 
-class FillingSlope(_SlopeFields):
+class FillingSlope(_Checked, _SlopeFields):
     """Coprime pair (m, l); (m, l) and (-m, -l) name the same filling.
 
     Stored with l >= 0, and m > 0 when l = 0.
@@ -68,10 +68,6 @@ class FillingSlope(_SlopeFields):
         if l < 0 or (l == 0 and m < 0):
             m, l = -m, -l
         return super().__new__(cls, m, l)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"({self.m},{self.l})"
@@ -145,10 +141,15 @@ def verify_v221_construction(
     inner actions induce on the outer torus.  Any single-entry perturbation
     of the standard inner or outer data fails at least one check.
     """
-    _refuse_non_int(outer)
-    inner = tuple(inner)
+    _require(outer, IntMatrix2, "matrix")
+    try:
+        inner = tuple(inner)
+    except TypeError:
+        inner = ()
     if len(inner) != 3:
         raise ValueError("expected exactly three inner boundary actions")
+    # Before the search hashes them: is_involution refuses what is no matrix.
+    involution_ok = tuple(is_involution(A) for A in inner)
     conditions = {f: extension_condition(f) for f in set(_V221_FILLINGS)}
     assignment = next(
         (
@@ -158,7 +159,6 @@ def verify_v221_construction(
         ),
         None,
     )
-    involution_ok = tuple(is_involution(A) for A in inner)
     outer_ok = outer == _FIBER_FLIP and outer == _induced_outer_action(inner)
     passed = all(involution_ok) and assignment is not None and outer_ok
     return ConstructionReport(

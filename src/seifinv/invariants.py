@@ -31,7 +31,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
 
-from . import _require
+from . import _Checked, _require
 
 __all__ = [
     "BaseSurface",
@@ -85,28 +85,19 @@ def _pair_problem(q: int, p: int) -> str | None:
     return None
 
 
-# A NamedTuple body may not define __new__ or _make, so each record that
-# checks its fields does so in a thin subclass of its NamedTuple.  There
-# _make builds through __new__, and so does _replace, which calls _make.
 class _BaseSurfaceFields(NamedTuple):
     genus: int
     orientable: bool
 
 
-class BaseSurface(_BaseSurfaceFields):
+class BaseSurface(_Checked, _BaseSurfaceFields):
     __slots__ = ()
 
     def __new__(cls, genus: int, orientable: bool = True):
         _require(genus, int, "genus")
-        if type(orientable) is not bool:
-            raise ValueError(f"orientable must be True or False, got {orientable!r}")
-        if problem := _base_problem(genus, orientable):
+        if problem := _base_problem(genus, _require(orientable, bool, "orientable")):
             raise ValueError(problem)
         return super().__new__(cls, genus, orientable)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     def euler_characteristic(self) -> int:
         if self.orientable:
@@ -120,7 +111,7 @@ class _SeifertFields(NamedTuple):
     b: int
 
 
-class SeifertInvariants(_SeifertFields):
+class SeifertInvariants(_Checked, _SeifertFields):
     """Descriptor (g, o1 | (q1,p1), ..., (1,b)) with exact integer data.
 
     ``tally`` maps each distinct pair to its multiplicity, in first-seen
@@ -128,15 +119,22 @@ class SeifertInvariants(_SeifertFields):
     is derived from ``pairs`` and kept outside the tuple, so it takes no part
     in equality, hashing or repr.  It is a read-only mapping, and records
     with the same pairs may share it.  The constructor checks every pair
-    entry before it counts, since ``(2.0, 1)`` would count as ``(2, 1)``;
-    ``parse_seifert`` and ``normalize``, which build checked int pairs, and
-    ``_replace(base=...)``, which keeps them, pass their fields to
-    ``_on_base`` instead.  Every other ``_replace`` and ``_make`` runs the
-    constructor.
+    entry before it counts, since ``(2.0, 1)`` would count as ``(2, 1)``.
     """
 
     def __new__(cls, base: BaseSurface, pairs=(), b: int = 0):
-        pairs = tuple((_require(q, int, "q"), _require(p, int, "p")) for q, p in pairs)
+        try:
+            entries = iter(pairs)
+        except TypeError:
+            raise ValueError(f"pairs must be an iterable of (q, p) pairs, got {pairs!r}") from None
+        checked = []
+        for pair in entries:
+            try:
+                q, p = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"pair must be (q, p), got {pair!r}") from None
+            checked.append((_require(q, int, "q"), _require(p, int, "p")))
+        pairs = tuple(checked)
         tally = Counter(pairs)
         for q, p in tally:
             if problem := _pair_problem(q, p):
@@ -152,15 +150,6 @@ class SeifertInvariants(_SeifertFields):
         self = super().__new__(cls, base, pairs, b)
         object.__setattr__(self, "tally", tally)
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def _replace(self, /, **changes):
-        if changes.keys() == {"base"}:
-            return self._on_base(changes["base"], self.pairs, self.b, self.tally)
-        return super()._replace(**changes)
 
     def __reduce__(self):
         # Copies and pickles are rebuilt through the constructor, which

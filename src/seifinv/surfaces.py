@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from . import _require
+from . import _Checked, _require
 
 __all__ = [
     "FixedPointData",
@@ -39,7 +39,7 @@ class _SurfaceInvolutionFields(NamedTuple):
     r: int
 
 
-class SurfaceInvolutionClass(_SurfaceInvolutionFields):
+class SurfaceInvolutionClass(_Checked, _SurfaceInvolutionFields):
     __slots__ = ()
 
     def __new__(cls, kind: InvolutionKind, g: int, r: int = 0):
@@ -57,10 +57,6 @@ class SurfaceInvolutionClass(_SurfaceInvolutionFields):
         if kind is InvolutionKind.ANTI and r > g:
             raise ValueError("anti needs r <= g")
         return super().__new__(cls, kind, g, r)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     @property
     def orientation_preserving(self) -> bool:

@@ -4,8 +4,6 @@ Matrices act on column vectors; the framing convention throughout the
 package orders the basis as (fiber class, section class).  Involutions in
 GL2(Z) split into four conjugacy classes: +-identity, and for determinant
 -1 the class of diag(1,-1) versus the class of the swap matrix [[0,1],[1,0]].
-The determinant/trace/mod-2 classifier is validated exhaustively against a
-brute-force conjugator search (see the test suite) rather than trusted.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from . import _require
+from . import _Checked, _require
 
 __all__ = [
     "IDENTITY",
@@ -29,13 +27,24 @@ __all__ = [
 ]
 
 
-class IntMatrix2(NamedTuple):
-    """Row-major 2x2 integer matrix: top row (a b), bottom row (c d)."""
-
+class _MatrixFields(NamedTuple):
     a: int
     b: int
     c: int
     d: int
+
+
+class IntMatrix2(_Checked, _MatrixFields):
+    """Row-major 2x2 integer matrix: top row (a b), bottom row (c d)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        _require(a, int, "a")
+        _require(b, int, "b")
+        _require(c, int, "c")
+        _require(d, int, "d")
+        return super().__new__(cls, a, b, c, d)
 
     def __str__(self) -> str:
         return f"{self.a},{self.b};{self.c},{self.d}"
@@ -52,23 +61,14 @@ class InvolutionClassLabel(Enum):
     ANTI_TYPE = "AntiType"
 
 
-def _refuse_non_int(*matrices: IntMatrix2) -> None:
-    # IntMatrix2 stores its entries as given: the public functions check
-    # them here, not in its constructor, which find_conjugator's inner loop
-    # would pay for.
-    for A in matrices:
-        _require(A, IntMatrix2, "matrix")
-        if not all(type(v) is int for v in A):
-            raise ValueError(f"matrix entries must be integers, got {A}")
-
-
 def mat_det(A: IntMatrix2) -> int:
-    _refuse_non_int(A)
+    _require(A, IntMatrix2, "matrix")
     return A.a * A.d - A.b * A.c
 
 
 def mat_mul(A: IntMatrix2, B: IntMatrix2) -> IntMatrix2:
-    _refuse_non_int(A, B)
+    _require(A, IntMatrix2, "matrix")
+    _require(B, IntMatrix2, "matrix")
     return IntMatrix2(
         A.a * B.a + A.b * B.c,
         A.a * B.b + A.b * B.d,
@@ -166,7 +166,8 @@ def find_conjugator(A: IntMatrix2, B: IntMatrix2, bound: int) -> IntMatrix2 | No
     error.  ``bound`` runs from 1 to ``MAX_BOUND`` (32); any other bound is
     refused with ``ValueError``.
     """
-    _refuse_non_int(A, B)
+    _require(A, IntMatrix2, "matrix")
+    _require(B, IntMatrix2, "matrix")
     if _require(bound, int, "bound") < 1:
         raise ValueError("bound must be a positive integer")
     if bound > MAX_BOUND:

@@ -16,7 +16,7 @@ from seifinv import (
     verify_v221_construction,
 )
 from seifinv.filling import _induced_outer_action
-from util import inverse, v221_unit_tampers
+from util import entry_refusal, inverse, v221_unit_tampers
 
 V221_FILLINGS = (FillingSlope(1, 2), FillingSlope(1, 2), FillingSlope(-1, 1))
 
@@ -315,13 +315,26 @@ class TestVerifyConstruction:
         with pytest.raises(ValueError):
             verify_v221_construction([IntMatrix2(-1, 1, 0, 1)])
 
+    @pytest.mark.parametrize("inner", [5, None])
+    def test_non_iterable_inner_rejected(self, inner):
+        with pytest.raises(ValueError, match="^expected exactly three inner boundary actions$"):
+            verify_v221_construction(inner)
+
+    def test_inner_actions_must_be_matrices(self):
+        # Each is refused before the filling search hashes it.
+        for A in ([-1, 1, 0, 1], (-1, 1, 0, 1)):
+            inner = (A, IntMatrix2(-1, -2, 0, 1), IntMatrix2(-1, 1, 0, 1))
+            message = f"^{re.escape(f'matrix must be an IntMatrix2, got {A!r}')}$"
+            with pytest.raises(ValueError, match=message):
+                verify_v221_construction(inner)
+
     @pytest.mark.parametrize("entries", [(-1.0, 0, 0, 1), (-1, 0, 0, True), (-1, 0.0, 0, 1)])
     def test_rejects_non_int_outer(self, entries):
-        # Read by value, each of these is the fiber flip and would pass.
-        outer = IntMatrix2(*entries)
-        message = f"^{re.escape(f'matrix entries must be integers, got {outer}')}$"
-        with pytest.raises(ValueError, match=message):
-            verify_v221_construction(outer=outer)
+        # Read by value, each of these is the fiber flip and would pass; the
+        # matrix is refused when built, and its int twin passes.
+        with pytest.raises(ValueError, match=f"^{re.escape(entry_refusal(entries))}$"):
+            verify_v221_construction(outer=IntMatrix2(*entries))
+        assert verify_v221_construction(outer=IntMatrix2(*map(int, entries))).passed
 
 
 class TestBoundaryHomologyIdentity:

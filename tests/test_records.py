@@ -19,6 +19,7 @@ from seifinv import (
     SeifertInvariants,
     SurfaceInvolutionClass,
     check_admissible,
+    enumerate_admissible,
     euler_number,
     extension_condition,
     find_conjugator,
@@ -59,6 +60,7 @@ CONSTRUCTIONS = [
         {"fiber_orientation": "reversed", "surface_class": SPIT00, "fixed_boundary_count": 2},
     ),
     (SurfaceInvolutionClass, (REFL, 3, 1), {"kind": REFL, "g": 3, "r": 1}),
+    (IntMatrix2, (1, -2, 0, -1), {"a": 1, "b": -2, "c": 0, "d": -1}),
 ]
 
 
@@ -82,13 +84,25 @@ def test_defaults():
 REFUSALS = [
     (BaseSurface, (-1,), "genus must be non-negative"),
     (BaseSurface, (0, False), "non-orientable base surface needs genus >= 1"),
-    (BaseSurface, (1, "no"), "orientable must be True or False, got 'no'"),
-    (BaseSurface, (1, None), "orientable must be True or False, got None"),
-    (BaseSurface, (1, 1), "orientable must be True or False, got 1"),
+    (BaseSurface, (1, "no"), "orientable must be a bool, got 'no'"),
+    (BaseSurface, (1, None), "orientable must be a bool, got None"),
+    (BaseSurface, (1, 1), "orientable must be a bool, got 1"),
     (SeifertInvariants, (BaseSurface(0), ((0, 1),)), "fiber order must be positive in (0,1)"),
     (SeifertInvariants, (BaseSurface(0), ((-3, 1),)), "fiber order must be positive in (-3,1)"),
     (SeifertInvariants, (BaseSurface(0), ((2, 1), (4, 2))), "non-coprime pair (4,2)"),
     (SeifertInvariants, ((0, True), ((2, 1),)), "base must be a BaseSurface, got (0, True)"),
+    # A malformed container of pairs, refused where it fails, naming it.
+    (SeifertInvariants, (BaseSurface(0), (2, 1)), "pair must be (q, p), got 2"),
+    (SeifertInvariants, (BaseSurface(0), ((2,),)), "pair must be (q, p), got (2,)"),
+    (SeifertInvariants, (BaseSurface(0), ((2, 1, 0),)), "pair must be (q, p), got (2, 1, 0)"),
+    (SeifertInvariants, (BaseSurface(0), ("(2,1)",)), "pair must be (q, p), got '(2,1)'"),
+    (SeifertInvariants, (BaseSurface(0), ("21",)), "q must be an integer, got '2'"),
+    (
+        SeifertInvariants,
+        (BaseSurface(0), None),
+        "pairs must be an iterable of (q, p) pairs, got None",
+    ),
+    (SeifertInvariants, (BaseSurface(0), 2), "pairs must be an iterable of (q, p) pairs, got 2"),
     (FillingSlope, (0, 0), "slope (0,0) does not name a curve"),
     (FillingSlope, (2, 4), "slope (2,4) is not primitive"),
     (FillingSlope, (-3, 0), "slope (-3,0) is not primitive"),
@@ -242,14 +256,14 @@ REPLACEMENTS = [
         "unknown fiber orientation 'sideways'",
     ),
     (SurfaceInvolutionClass(REFL, 3, 1), {"r": 0}, {"r": 2}, "refl needs r <= g/2"),
+    (IntMatrix2(1, 0, 0, -1), {"b": 2}, {"c": 1.5}, "c must be an integer, got 1.5"),
 ]
 
 
 @pytest.mark.parametrize(
     "value, changes, refused, message",
     REPLACEMENTS,
-    # The row that replaces a descriptor's base takes the sharing path of
-    # SeifertInvariants._replace; its id names the field.
+    # The row that replaces a descriptor's base has an id naming the field.
     ids=[type(r[0]).__name__ + ("-base" if "base" in r[1] else "") for r in REPLACEMENTS],
 )
 def test_replace_and_make_run_the_constructor(value, changes, refused, message):
@@ -270,11 +284,20 @@ def test_replace_and_make_run_the_constructor(value, changes, refused, message):
 def test_replace_keeps_the_tally_and_folds_the_slope():
     M = SeifertInvariants(BaseSurface(0), ((2, 1), (2, 1)), -1)._replace(b=-2)
     assert M.tally == {(2, 1): 2} and str(M) == "(0,o1|(2,1),(2,1),(1,-2))"
-    # A new base alone shares the checked fields and the tally.
+    # A new base alone runs the constructor too, which counts the tally again.
     N = M._replace(base=BaseSurface(4))
-    assert (N.pairs, N.b, N.tally) == (M.pairs, M.b, M.tally) and N.tally is M.tally
+    assert (N.pairs, N.b, N.tally) == (M.pairs, M.b, M.tally)
     assert str(N) == "(4,o1|(2,1),(2,1),(1,-2))"
     assert tuple(FillingSlope(1, 2)._replace(l=-4)) == (-1, 4)
+
+
+def test_rows_of_one_fiber_count_share_the_checked_fields():
+    rows = enumerate_admissible(3, 4)
+    for n in range(3):
+        first, *others = rows[n::3]
+        assert [len(M.pairs) for M in rows[n::3]] == [2 * n] * 4
+        for M in others:
+            assert M.pairs is first.pairs and M.tally is first.tally and M.b == first.b
 
 
 def test_copies_and_pickles_keep_a_read_only_tally():
@@ -287,7 +310,7 @@ def test_copies_and_pickles_keep_a_read_only_tally():
 
 @pytest.mark.parametrize("flag", ["no", None, 0, 1.0])
 def test_replace_and_make_refuse_a_non_bool_orientable(flag):
-    message = f"orientable must be True or False, got {flag!r}"
+    message = f"orientable must be a bool, got {flag!r}"
     for build in (
         lambda: BaseSurface(2)._replace(orientable=flag),
         lambda: BaseSurface._make((2, flag)),

@@ -13,7 +13,7 @@ from seifinv import (
     mat_mul,
 )
 from seifinv.torus_mcg import MAX_BOUND, _unimodular_entries
-from util import inverse
+from util import entry_refusal, inverse
 
 SWAP = IntMatrix2(0, 1, 1, 0)
 MINUS_I = IntMatrix2(-1, 0, 0, -1)
@@ -65,11 +65,11 @@ class TestArithmetic:
         ids=["mat_det", "is_involution", "mat_mul-left", "mat_mul-right"],
     )
     def test_rejects_non_int_entries(self, compute, entries):
-        # Read by value, each of these is an involution.
-        A = IntMatrix2(*entries)
-        message = f"^{re.escape(f'matrix entries must be integers, got {A}')}$"
-        with pytest.raises(ValueError, match=message):
-            compute(A)
+        # Read by value, each of these is an involution.  The matrix is
+        # refused when built, so no function reads it; its int twin computes.
+        with pytest.raises(ValueError, match=f"^{re.escape(entry_refusal(entries))}$"):
+            compute(IntMatrix2(*entries))
+        compute(IntMatrix2(*map(int, entries)))
 
     def test_double_inverse(self):
         # adj(A) / det A is integral exactly when |det A| = 1.
@@ -114,11 +114,11 @@ class TestInvolutionClass:
 
     @pytest.mark.parametrize("entries", [(1.0, 0, 0, 1), (1, 0, 0, True), (-1, 0, 0, -1.0)])
     def test_rejects_non_int_entries(self, entries):
-        # Each of these would pass as an involution if read by value.
-        A = IntMatrix2(*entries)
-        message = f"^{re.escape(f'matrix entries must be integers, got {A}')}$"
-        with pytest.raises(ValueError, match=message):
-            involution_class(A)
+        # Each of these would pass as an involution if read by value; the
+        # matrix is refused when built, and its int twin is classified.
+        with pytest.raises(ValueError, match=f"^{re.escape(entry_refusal(entries))}$"):
+            involution_class(IntMatrix2(*entries))
+        involution_class(IntMatrix2(*map(int, entries)))
 
     def test_class_invariant_under_conjugation(self):
         involutions = involutions_in_window(3)
@@ -174,12 +174,13 @@ class TestFindConjugator:
 
     @pytest.mark.parametrize("entries", [(1.0, 0, 0, 1), (1, 0, 0, True), (0, 1, 1, 0.0)])
     def test_rejects_non_int_entries(self, entries):
-        # Each of these would be searched, or matched at once, if read by value.
-        A = IntMatrix2(*entries)
-        message = f"^{re.escape(f'matrix entries must be integers, got {A}')}$"
+        # Each of these would be searched, or matched at once, if read by
+        # value; the matrix is refused when built, and its int twin searched.
+        with pytest.raises(ValueError, match=f"^{re.escape(entry_refusal(entries))}$"):
+            find_conjugator(IntMatrix2(*entries), SWAP, 3)
+        A = IntMatrix2(*map(int, entries))
         for args in ((A, SWAP, 3), (SWAP, A, 3)):
-            with pytest.raises(ValueError, match=message):
-                find_conjugator(*args)
+            find_conjugator(*args)
 
     def test_bound_cap(self):
         assert MAX_BOUND == 32

@@ -1,12 +1,14 @@
-"""One type rule for every int field and int parameter, kept in one helper.
+"""One type rule for every field and parameter, kept in one helper.
 
 ``seifinv._require`` passes a value only when its type is exactly the kind
 asked for, and converts nothing: 2.5, 2.0, "2", True and an int subclass are
 all refused as an int, with ``<name> must be an integer, got <repr>``.  The
 refusal table below sends each of them to every int field of a record,
 through its constructor, ``_replace`` and ``_make``, and to every int
-parameter.  The guard below scans the package's modules so that no record
-converts with ``int()`` again and no type check is copied outside the helper.
+parameter; a base's ``orientable`` refuses every one that is not a bool.
+The guard below scans the package's modules so that no record converts with
+``int()`` again, no type check is copied outside the helper, and no record
+builds its own ``_make`` or ``_replace`` beside the shared one.
 """
 
 import ast
@@ -18,6 +20,7 @@ from seifinv import (
     BaseSurface,
     FactorizationRecord,
     FillingSlope,
+    IntMatrix2,
     InvolutionKind,
     SeifertInvariants,
     SurfaceInvolutionClass,
@@ -54,7 +57,7 @@ RECORD_FIELDS = [
     ),
     (FillingSlope(1, 1), "m", None, "m"),
     (FillingSlope(1, 1), "l", None, "l"),
-]
+] + [(IntMatrix2(1, 0, 0, 1), entry, None, entry) for entry in "abcd"]
 
 
 def _builds(value, field, hold):
@@ -99,6 +102,29 @@ def test_each_site_refuses_what_is_not_an_int(site, build, name, x):
     with pytest.raises(ValueError) as exc:
         build(x)
     assert str(exc.value) == f"{name} must be an integer, got {x!r}"
+
+
+NOT_BOOLS = [x for x in NOT_INTS if type(x) is not bool] + [1, None]
+ORIENTABLE = [
+    (f"BaseSurface.orientable-{way}", build)
+    for way, build in _builds(BaseSurface(1), "orientable", None).items()
+]
+
+
+@pytest.mark.parametrize("site, build", ORIENTABLE, ids=[s[0] for s in ORIENTABLE])
+def test_orientable_takes_a_bool(site, build):
+    assert build(False) == (1, False) and build(True) == (1, True)
+
+
+@pytest.mark.parametrize(
+    "build, x",
+    [(build, x) for _, build in ORIENTABLE for x in NOT_BOOLS],
+    ids=[f"{site}-{type(x).__name__}-{x!r}" for site, _ in ORIENTABLE for x in NOT_BOOLS],
+)
+def test_orientable_refuses_what_is_not_a_bool(build, x):
+    with pytest.raises(ValueError) as exc:
+        build(x)
+    assert str(exc.value) == f"orientable must be a bool, got {x!r}"
 
 
 @pytest.mark.parametrize(
@@ -164,8 +190,7 @@ def test_no_int_conversion_but_the_parsers_token():
 
 def test_type_refusals_only_in_the_helper():
     # Every block that refuses by type, with the function it is in and the
-    # expression it checks: only the helper's, and BaseSurface's check that
-    # orientable is exactly a bool, which has its own message.
+    # expression it checks: only the helper's.
     refusals = {
         (path.name, owner, checked)
         for path in MODULES
@@ -174,7 +199,16 @@ def test_type_refusals_only_in_the_helper():
         and (checked := _type_checked(node.test)) is not None
         and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))
     }
-    assert refusals == {
-        ("__init__.py", "_require", "value"),
-        ("invariants.py", "__new__", "orientable"),
-    }
+    assert refusals == {("__init__.py", "_require", "value")}
+
+
+def test_make_and_replace_only_in_the_shared_base():
+    # Every module of the package, ``commands/`` included: only ``_Checked``
+    # in ``__init__.py`` defines ``_make``, and nothing defines ``_replace``.
+    defined = [
+        (str(path.relative_to(PACKAGE)), node.name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for _, node in _nodes(path)
+        if isinstance(node, ast.FunctionDef) and node.name in ("_make", "_replace")
+    ]
+    assert defined == [("__init__.py", "_make")]

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: seeded random descriptor generators,
-the inverse of a unimodular matrix and the unit tampers of the V(2,2;-1)
-data."""
+the inverse of a unimodular matrix, the refusal of a matrix with a non-int
+entry and the unit tampers of the V(2,2;-1) data."""
 
 from __future__ import annotations
 
@@ -31,6 +31,12 @@ def inverse(A: IntMatrix2) -> IntMatrix2:
     det = A.a * A.d - A.b * A.c
     assert det in (1, -1), A
     return IntMatrix2(A.d * det, -A.b * det, -A.c * det, A.a * det)
+
+
+def entry_refusal(entries) -> str:
+    """What ``IntMatrix2(*entries)`` refuses with: its first non-int entry."""
+    name, value = next((n, v) for n, v in zip("abcd", entries) if type(v) is not int)
+    return f"{name} must be an integer, got {value!r}"
 
 
 def v221_unit_tampers():
