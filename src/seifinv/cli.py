@@ -7,9 +7,10 @@ is a group, and its arguments are its own table.  Every leaf command also
 takes ``--json``.  ``run`` builds the argparse parser from the table on each
 call, imports the module of the command it parsed, and ``_finish`` renders
 the handler's text lines or, with ``--json``, its payload.  A process thus
-compiles the one handler it runs.  Every payload is rendered by the one
-renderer ``_indented``, whose output is byte-identical to
-``json.dumps(payload, indent=2)``; ``json`` is imported only with ``--json``.
+compiles the one handler it runs.  ``_indented`` renders each payload as
+``json.dumps(payload, indent=2)`` does and hands it every nested value but
+lists of rows, which its ``indent`` path writes slowly; ``json`` is
+imported only with ``--json``.
 
 Exit codes: 0 on success, 1 for parse/domain errors, 2 for usage errors.
 All JSON payloads carry a top-level ``"schema": "1"`` field.  Output is
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 from typing import NamedTuple
 
@@ -90,14 +92,14 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str, table) -> None:
 
 
 def _indented(payload) -> str:
-    """``json.dumps(payload, indent=2)``, byte for byte, for dicts with str
-    keys, lists, str, int, bool and None; a value of any other type is
-    handed to ``json.dumps`` itself.
+    """``json.dumps(payload, indent=2)``, byte for byte.
 
-    Strings go through the C ``encode_basestring_ascii``.  A list whose rows
-    are all dicts with the first row's keys, in its order, and scalar values
-    is rendered by one %-format of its rows' template repeated; any other
-    list takes the general path.
+    ``indent`` switches the stdlib to its pure-Python encoder, too slow for
+    the thousands of rows ``enumerate`` and ``census`` write.  So a value of
+    a non-empty dict payload that is a str, int, bool or None, or a list of
+    dicts all with the first one's keys, in its order, and such values, is
+    written here, a list by one %-format of its rows' template repeated;
+    everything else goes to ``json.dumps``.
     """
     from itertools import chain
     from json import dumps
@@ -110,35 +112,26 @@ def _indented(payload) -> str:
             return "null" if v is None else "true" if v else "false"
         return int.__repr__(v) if type(v) is int else None
 
-    def render(v, nl):
+    def value(v):  # the JSON text of a value of the payload, one level deep
         if (s := scalar(v)) is not None:
             return s
-        inner = nl + "  "
-        if type(v) is dict and v:
-            items = [text(k) + ": " + render(x, inner) for k, x in v.items()]
-            return "{" + inner + ("," + inner).join(items) + nl + "}"
-        if type(v) is list and v:
-            return "[" + inner + rows(v, inner) + nl + "]"
-        return dumps(v, indent=2).replace("\n", nl)
-
-    def rows(v, nl):  # the items of a non-empty list, joined
-        sep, keys = "," + nl, type(v[0]) is dict and tuple(v[0])
+        keys = type(v) is list and v and type(v[0]) is dict and tuple(v[0])
         if keys and all(type(row) is dict and tuple(row) == keys for row in v):
             cells = tuple(map(scalar, chain.from_iterable(map(dict.values, v))))
             if None not in cells:
-                inner = nl + "  "
-                fields = [text(k).replace("%", "%%") + ": %s" for k in keys]
-                row = "{" + inner + ("," + inner).join(fields) + nl + "}"
-                return sep.join([row] * len(v)) % cells
-        return sep.join([render(x, nl) for x in v])
+                fields = ",\n      ".join([text(k).replace("%", "%%") + ": %s" for k in keys])
+                rows = ",\n    ".join(["{\n      " + fields + "\n    }"] * len(v))
+                return "[\n    " + rows % cells + "\n  ]"
+        return dumps(v, indent=2).replace("\n", "\n  ")
 
-    return render(payload, "\n")
+    if type(payload) is not dict or not payload:
+        return dumps(payload, indent=2)
+    return "{\n  " + ",\n  ".join([text(k) + ": " + value(v) for k, v in payload.items()]) + "\n}"
 
 
 def _finish(args, payload: dict, lines: list[str]) -> CommandResult:
     """The command's result: its text lines joined, or with ``--json`` its
-    payload, schema first, as ``_indented`` renders it, byte-identical to
-    ``json.dumps(payload, indent=2)``."""
+    payload, schema first, as ``_indented`` renders it."""
     payload = {"schema": SCHEMA, **payload}
     if args.json:
         return CommandResult("ok", payload, _indented(payload), 0)
@@ -168,11 +161,14 @@ def run(argv: list[str]) -> CommandResult:
 
 def main(argv: list[str] | None = None) -> None:
     result = run(sys.argv[1:] if argv is None else argv)
-    if result.status == "ok":
-        if result.message:
-            print(result.message)
-    else:
+    if result.status != "ok":
         print(f"error: {result.message}", file=sys.stderr)
+    elif result.message:
+        try:
+            print(result.message, flush=True)
+        except BrokenPipeError:  # the reader stopped early; the flush at exit goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
     sys.exit(result.exit_code)
 
 

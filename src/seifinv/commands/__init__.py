@@ -8,6 +8,7 @@ process compiles one handler, not eleven.
 
 from __future__ import annotations
 
+import re
 import sys
 
 from .. import torus_mcg
@@ -29,10 +30,13 @@ def printed(name: str, value) -> str:
 
 
 def integer(text: str, message: str) -> int:
-    """``int(text)``, refused with ``message``."""
+    """``int(text)``, refused with ``message``, or by the digit limit if it
+    is an integer longer than ``sys.get_int_max_str_digits()`` digits."""
     try:
         return int(text)
-    except ValueError:
+    except ValueError:  # text in int()'s grammar converts unless past the limit
+        if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
+            raise ValueError(f"integer longer than {sys.get_int_max_str_digits()} digits") from None
         raise ValueError(message) from None
 
 

@@ -384,7 +384,6 @@ class Rational:
 
     __rmul__ = __mul__
     __eq__ = _compared(operator.eq)
-    __ne__ = _compared(operator.ne)
     __lt__ = _compared(operator.lt)
     __le__ = _compared(operator.le)
     __gt__ = _compared(operator.gt)

@@ -30,7 +30,7 @@ from seifinv import (
     verify_v221_construction,
 )
 from seifinv.cli import run
-from util import coprime_pair, inverse, random_descriptor, v221_unit_tampers
+from util import coprime_pair, inverse, pm, random_descriptor, v221_unit_tampers
 
 GOLDEN = Path(__file__).parent / "data" / "enumerate_gmax3_nmax8.txt"
 
@@ -38,10 +38,6 @@ GOLDEN = Path(__file__).parent / "data" / "enumerate_gmax3_nmax8.txt"
 def _report(num: int, ok: bool, label: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {label}")
     assert ok, f"criterion {num} failed: {label}"
-
-
-def pm(A):
-    return frozenset({A, IntMatrix2(-A.a, -A.b, -A.c, -A.d)})
 
 
 def test_criterion_1_case_table_enumeration():

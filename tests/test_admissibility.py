@@ -20,10 +20,7 @@ from seifinv import (
     orbifold_euler_characteristic,
     parse_seifert,
 )
-
-
-def M(genus, pairs=(), b=0, orientable=True):
-    return SeifertInvariants(BaseSurface(genus, orientable), tuple(pairs), b)
+from util import M
 
 
 class TestCheckAdmissible:

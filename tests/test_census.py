@@ -4,11 +4,9 @@ from functools import partial
 import pytest
 
 from seifinv import (
-    BaseSurface,
     CensusScopeError,
     IntMatrix2,
     InvolutionKind,
-    SeifertInvariants,
     check_admissible,
     enumerate_factorizations,
     euler_number,
@@ -21,14 +19,10 @@ from seifinv import (
     print_seifert,
     verify_v221_construction,
 )
-from util import coprime_pair, v221_unit_tampers
+from util import M, coprime_pair, v221_unit_tampers
 
 FLAT = parse_seifert("(0,o1|(2,1),(2,1),(2,1),(2,1),(1,-2))")
 EIGHT = parse_seifert("(0,o1|" + "(2,1)," * 8 + "(1,-4))")
-
-
-def M(genus, pairs=(), b=0, orientable=True):
-    return SeifertInvariants(BaseSurface(genus, orientable), tuple(pairs), b)
 
 
 class TestEnumerateFactorizations:

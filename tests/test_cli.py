@@ -69,20 +69,25 @@ HALF_BELOW = "4" + "9" * (LIMIT - 1)  # 5 * 10**(LIMIT - 1) - 1, LIMIT digits
 HALF = "5" + "0" * (LIMIT - 1)  # 5 * 10**(LIMIT - 1), LIMIT digits
 
 
-@pytest.mark.skipif(
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int/str digit limit"
 )
+
+
+@pytest.fixture
+def default_limit():
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(LIMIT)
+    yield
+    sys.set_int_max_str_digits(previous)
+
+
+@NEEDS_DIGIT_LIMIT
+@pytest.mark.usefixtures("default_limit")
 class TestComputedIntegerDigitLimit:
     """Parsed integers fit the limit; a value computed from them that does
     not is refused by name.  Sums of two halves land on LIMIT digits exactly
     (10**LIMIT - 1 or 10**LIMIT - 2) or one past it (10**LIMIT)."""
-
-    @pytest.fixture(autouse=True)
-    def default_limit(self):
-        previous = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(LIMIT)
-        yield
-        sys.set_int_max_str_digits(previous)
 
     @pytest.mark.parametrize(
         "at_limit, expected",
@@ -118,6 +123,39 @@ class TestComputedIntegerDigitLimit:
         result = run(past)
         assert (result.status, result.exit_code) == ("error", 1)
         assert result.message == f"cannot print {name}: integer longer than {LIMIT} digits"
+
+
+@NEEDS_DIGIT_LIMIT
+@pytest.mark.usefixtures("default_limit")
+class TestEnteredIntegerDigitLimit:
+    """A matrix or slope entry of LIMIT digits is read; one a digit longer is
+    refused by the limit, and text that is no integer by its own message."""
+
+    PAST = "9" * (LIMIT + 1)
+
+    def test_at_the_limit_is_read(self):
+        payload = payload_of(["mcg", "class", f"1,{'9' * LIMIT};0,-1", "--json"])
+        assert payload["class"] == "AntiType"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mcg", "class", f"1,{PAST};0,-1"],
+            ["extend", f"--slope={PAST},1", "--matrix=1,0;0,-1"],
+        ],
+        ids=["matrix", "slope"],
+    )
+    def test_one_digit_past_is_refused_by_the_limit(self, argv):
+        result = run(argv)
+        assert (result.status, result.exit_code) == ("error", 1)
+        assert result.message == f"integer longer than {LIMIT} digits"
+
+    def test_text_that_is_no_integer_keeps_its_message(self):
+        entry = self.PAST + "x"
+        result = run(["mcg", "class", f"1,{entry};0,-1"])
+        assert result.message == f"matrix entry {entry!r} is not an integer"
+        result = run(["extend", f"--slope={entry},1", "--matrix=1,0;0,-1"])
+        assert result.message == f"slope must be a pair of integers, got '{entry},1'"
 
 
 class TestInvariantsDerivedOnce:
@@ -476,12 +514,13 @@ class TestPsiCheck:
 
 
 class TestModuleEntryPoint:
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+    PATHS = [SRC, os.environ.get("PYTHONPATH")]
+    ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, PATHS)))
+
     def _run_module(self, module, *argv):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         return subprocess.run(
-            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=self.ENV
         )
 
     def test_runs_the_cli(self):
@@ -497,6 +536,20 @@ class TestModuleEntryPoint:
             assert proc.returncode == 1, module
             assert proc.stdout == ""
             assert proc.stderr.startswith("error: non-coprime pair")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_a_reader_that_stops_early_gets_no_traceback(self, flags):
+        # The widest window writes far more than a pipe holds, so the process
+        # is still writing when its reader closes the pipe after one line.
+        argv = [sys.executable, "-m", "seifinv", "enumerate", "--gmax", "50", "--nmax", "100"]
+        with subprocess.Popen(
+            argv + flags, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.ENV
+        ) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait() == 1
+        assert stderr == b""
 
 
 class TestDeterminism:

@@ -16,13 +16,9 @@ from seifinv import (
     verify_v221_construction,
 )
 from seifinv.filling import _induced_outer_action
-from util import entry_refusal, inverse, v221_unit_tampers
+from util import entry_refusal, inverse, pm, v221_unit_tampers
 
 V221_FILLINGS = (FillingSlope(1, 2), FillingSlope(1, 2), FillingSlope(-1, 1))
-
-
-def pm(A):
-    return frozenset({A, IntMatrix2(-A.a, -A.b, -A.c, -A.d)})
 
 
 def carried(A, G):

@@ -23,15 +23,11 @@ from seifinv import (
     print_seifert,
 )
 from seifinv.cli import run
-from util import random_descriptor
+from util import M, random_descriptor
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "seifbench"))
 
 from workloads import WORKLOADS  # noqa: E402
-
-
-def M(genus, pairs=(), b=0, orientable=True):
-    return SeifertInvariants(BaseSurface(genus, orientable), tuple(pairs), b)
 
 
 @pytest.fixture

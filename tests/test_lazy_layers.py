@@ -127,10 +127,10 @@ README_IDS = ["-".join(a[:2]) if a[0] == "mcg" else a[0] for a in README_EXAMPLE
 
 
 # Modules a cold process should not pay for: dataclasses pulls in inspect,
-# and fractions pulls in decimal, _decimal and numbers.
+# and fractions pulls in decimal, _decimal and numbers; json only with --json.
 DATACLASS_MODULES = {"dataclasses", "inspect"}
 FRACTION_MODULES = {"fractions", "decimal", "_decimal", "numbers"}
-HEAVY = sorted(DATACLASS_MODULES | FRACTION_MODULES)
+HEAVY = sorted(DATACLASS_MODULES | FRACTION_MODULES | {"json"})
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,6 +154,11 @@ def test_a_readme_example_imports_neither_dataclasses_nor_inspect(argv):
 @pytest.mark.parametrize("argv", README_EXAMPLES, ids=README_IDS)
 def test_a_readme_example_imports_no_fraction_module(argv):
     assert FRACTION_MODULES.isdisjoint(_heavy_modules_after(tuple(argv)))
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=README_IDS)
+def test_a_readme_example_imports_json_only_with_json_output(argv):
+    assert ("json" in _heavy_modules_after(tuple(argv))) == ("--json" in argv)
 
 
 def test_no_library_module_imports_fractions():

@@ -106,6 +106,7 @@ REFUSALS = [
     (FillingSlope, (0, 0), "slope (0,0) does not name a curve"),
     (FillingSlope, (2, 4), "slope (2,4) is not primitive"),
     (FillingSlope, (-3, 0), "slope (-3,0) is not primitive"),
+    (FillingSlope, (-3.0, -1.0), "m must be an integer, got -3.0"),
     (FactorizationRecord, ("sideways", SPIT00, 0), "unknown fiber orientation 'sideways'"),
     (FactorizationRecord, ("preserved", SPIT00, -1), "fixed boundary count must be non-negative"),
     (
@@ -114,6 +115,7 @@ REFUSALS = [
         "surface class must be a SurfaceInvolutionClass, got 'spit'",
     ),
     (SurfaceInvolutionClass, ("spit", 2, 0), "kind must be an InvolutionKind, got 'spit'"),
+    (SurfaceInvolutionClass, (REFL, True, False), "g must be an integer, got True"),
     (SurfaceInvolutionClass, (ID, -1), "genus and r must be non-negative"),
     (SurfaceInvolutionClass, (SPIT, 2, -1), "genus and r must be non-negative"),
     (SurfaceInvolutionClass, (ID, 2, 1), "id takes no r parameter"),
@@ -306,50 +308,3 @@ def test_copies_and_pickles_keep_a_read_only_tally():
         assert got == M and str(got) == str(M) and got.tally == {(2, 1): 2}
         with pytest.raises(TypeError):
             got.tally[(2, 1)] = 5
-
-
-@pytest.mark.parametrize("flag", ["no", None, 0, 1.0])
-def test_replace_and_make_refuse_a_non_bool_orientable(flag):
-    message = f"orientable must be a bool, got {flag!r}"
-    for build in (
-        lambda: BaseSurface(2)._replace(orientable=flag),
-        lambda: BaseSurface._make((2, flag)),
-        lambda: BaseSurface(genus=2, orientable=flag),
-    ):
-        with pytest.raises(ValueError) as exc:
-            build()
-        assert str(exc.value) == message
-
-
-def _refused(build, message):
-    with pytest.raises(ValueError) as exc:
-        build()
-    assert str(exc.value) == message
-
-
-# The int fields are stored as given and only exact ints are given: a float
-# or a bool is refused, where it was once truncated or read as 0 or 1.
-def test_surface_class_stores_int_fields():
-    c = SurfaceInvolutionClass(SPIT, 2, 0)
-    assert type(c.g) is int and type(c.r) is int
-    assert str(c) == "spit(2,0)" and str(fixed_point_data(c)) == "6 points"
-    _refused(lambda: SurfaceInvolutionClass(SPIT, 2.0, 0), "g must be an integer, got 2.0")
-    _refused(lambda: SurfaceInvolutionClass(REFL, True, False), "g must be an integer, got True")
-    refl = SurfaceInvolutionClass(REFL, 3, 0)
-    _refused(lambda: refl._replace(g=3.5), "g must be an integer, got 3.5")
-
-
-def test_factorization_record_stores_an_int_count():
-    record = FactorizationRecord("preserved", SPIT00, 2)
-    assert type(record.fixed_boundary_count) is int
-    message = "fixed boundary count must be an integer, got {}"
-    _refused(lambda: FactorizationRecord("preserved", SPIT00, 2.5), message.format(2.5))
-    _refused(lambda: record._replace(fixed_boundary_count=True), message.format(True))
-
-
-def test_filling_slope_stores_int_fields():
-    slope = FillingSlope(1, 2)
-    assert type(slope.m) is int and type(slope.l) is int and str(slope) == "(1,2)"
-    _refused(lambda: FillingSlope(True, 2), "m must be an integer, got True")
-    _refused(lambda: FillingSlope(-3.0, -1.0), "m must be an integer, got -3.0")
-    _refused(lambda: FillingSlope(3, -1.0), "l must be an integer, got -1.0")

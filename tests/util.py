@@ -1,6 +1,7 @@
-"""Shared helpers for the test suite: seeded random descriptor generators,
-the inverse of a unimodular matrix, the refusal of a matrix with a non-int
-entry and the unit tampers of the V(2,2;-1) data."""
+"""Shared helpers for the test suite: a descriptor from its fields, seeded
+random descriptor generators, the inverse of a unimodular matrix and the
+pair {A, -A}, the refusal of a matrix with a non-int entry and the unit
+tampers of the V(2,2;-1) data."""
 
 from __future__ import annotations
 
@@ -8,6 +9,10 @@ import math
 import random
 
 from seifinv import BaseSurface, IntMatrix2, SeifertInvariants, verify_v221_construction
+
+
+def M(genus, pairs=(), b=0, orientable=True) -> SeifertInvariants:
+    return SeifertInvariants(BaseSurface(genus, orientable), tuple(pairs), b)
 
 
 def coprime_pair(rng: random.Random, q_max: int = 9, p_span: int = 12) -> tuple[int, int]:
@@ -31,6 +36,10 @@ def inverse(A: IntMatrix2) -> IntMatrix2:
     det = A.a * A.d - A.b * A.c
     assert det in (1, -1), A
     return IntMatrix2(A.d * det, -A.b * det, -A.c * det, A.a * det)
+
+
+def pm(A: IntMatrix2) -> frozenset[IntMatrix2]:
+    return frozenset({A, IntMatrix2(-A.a, -A.b, -A.c, -A.d)})
 
 
 def entry_refusal(entries) -> str:
