@@ -105,54 +105,33 @@ def involution_class(A: IntMatrix2) -> InvolutionClassLabel:
 MAX_BOUND = 32
 
 
-def _unit_completion(a: int, b: int) -> tuple[int, int]:
-    """One (c, d) with a*d - b*c = 1, for a coprime row (a, b)."""
-    r0, r1, x0, x1, y0, y1 = a, b, 1, 0, 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    # a*x0 + b*y0 = r0 = +-1
-    return -y0 * r0, x0 * r0
-
-
-def _steps_in_window(start: int, step: int, bound: int) -> range:
-    """The k with |start + k*step| <= bound, for a nonzero step."""
-    if step < 0:
-        start, step = -start, -step
-    return range(-((bound + start) // step), (bound - start) // step + 1)
-
-
 @lru_cache(maxsize=None)
 def _unimodular_entries(bound: int) -> tuple[tuple[int, int, int, int], ...]:
     """Every (a, b, c, d) with entries in [-bound, bound] and |ad - bc| = 1,
     in lexicographic order.
 
-    The first row (a, b) must be coprime.  Given one completion (c0, d0)
-    with a*d0 - b*c0 = 1, the determinant +1 rows are (c0 + k*a, d0 + k*b)
-    and the determinant -1 rows are (-c0 + k*a, -d0 + k*b): two arithmetic
-    progressions per first row, clipped to the window along their longer
-    step.
+    The first row (a, b) must be coprime.  For a determinant s = +-1 and
+    a != 0, a*d - b*c = s puts c in the residue class -s * b^-1 mod |a|
+    and then fixes d = (s + b*c) / a; for a = 0, b = +-1 fixes c = -s*b
+    and every d works.
     """
     rng = range(-bound, bound + 1)
     out = []
     for a in rng:
+        m = abs(a)
         for b in rng:
             if gcd(a, b) != 1:
                 continue
-            c0, d0 = _unit_completion(a, b)
             rows = []
-            for c1, d1 in ((c0, d0), (-c0, -d0)):
-                if abs(a) >= abs(b):
-                    ks = _steps_in_window(c1, a, bound)
-                else:
-                    ks = _steps_in_window(d1, b, bound)
-                rows += [
-                    (c1 + k * a, d1 + k * b)
-                    for k in ks
-                    if abs(c1 + k * a) <= bound and abs(d1 + k * b) <= bound
-                ]
+            for s in (1, -1):
+                if a == 0:
+                    rows += [(-s * b, d) for d in rng]
+                    continue
+                first = -s * pow(b, -1, m) % m
+                for c in range(first - (first + bound) // m * m, bound + 1, m):
+                    d = (s + b * c) // a
+                    if abs(d) <= bound:
+                        rows.append((c, d))
             out += [(a, b, c, d) for c, d in sorted(rows)]
     return tuple(out)
 

@@ -1,14 +1,13 @@
 import json
-import os
 import subprocess
 import sys
 from functools import partial
-from pathlib import Path
 
 import pytest
 
 from seifinv import admissibility, census, cli, filling, invariants, surfaces, torus_mcg
 from seifinv.cli import run
+from util import NEEDS_DIGIT_LIMIT, digit_limit, fresh_env
 
 
 def payload_of(argv):
@@ -43,17 +42,11 @@ class TestClassify:
         assert result.status == "error"
         assert "position" in result.message
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int/str digit limit"
-    )
+    @NEEDS_DIGIT_LIMIT
     def test_integer_digit_limit(self):
-        previous, limit = sys.get_int_max_str_digits(), 4300  # Python's default limit
-        sys.set_int_max_str_digits(limit)
-        try:
+        with digit_limit(4300) as limit:  # Python's default limit
             at_limit = run(["classify", f"(0,o1|(2,{'9' * limit}))"])
             past = run(["classify", f"(0,o1|(2,{'9' * (limit + 1)}))"])
-        finally:
-            sys.set_int_max_str_digits(previous)
         assert (at_limit.status, at_limit.exit_code) == ("ok", 0)
         assert at_limit.message.startswith(f"(0,o1|(2,1),(1,{'4' + '9' * (limit - 1)}))  e=-{'9' * limit}/2")
         assert (past.status, past.exit_code) == ("error", 1)
@@ -69,17 +62,10 @@ HALF_BELOW = "4" + "9" * (LIMIT - 1)  # 5 * 10**(LIMIT - 1) - 1, LIMIT digits
 HALF = "5" + "0" * (LIMIT - 1)  # 5 * 10**(LIMIT - 1), LIMIT digits
 
 
-NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int/str digit limit"
-)
-
-
 @pytest.fixture
 def default_limit():
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(LIMIT)
-    yield
-    sys.set_int_max_str_digits(previous)
+    with digit_limit(LIMIT):
+        yield
 
 
 @NEEDS_DIGIT_LIMIT
@@ -514,13 +500,9 @@ class TestPsiCheck:
 
 
 class TestModuleEntryPoint:
-    SRC = str(Path(__file__).resolve().parents[1] / "src")
-    PATHS = [SRC, os.environ.get("PYTHONPATH")]
-    ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, PATHS)))
-
     def _run_module(self, module, *argv):
         return subprocess.run(
-            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=self.ENV
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=fresh_env()
         )
 
     def test_runs_the_cli(self):
@@ -543,7 +525,7 @@ class TestModuleEntryPoint:
         # is still writing when its reader closes the pipe after one line.
         argv = [sys.executable, "-m", "seifinv", "enumerate", "--gmax", "50", "--nmax", "100"]
         with subprocess.Popen(
-            argv + flags, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.ENV
+            argv + flags, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env()
         ) as proc:
             assert proc.stdout.readline()
             proc.stdout.close()

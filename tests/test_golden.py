@@ -30,6 +30,8 @@ from pathlib import Path
 
 import pytest
 
+from util import NEEDS_DIGIT_LIMIT, digit_limit
+
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 HELP_GOLDEN = GOLDEN.with_name("golden_help.json")
 PARSE_GOLDEN = GOLDEN.with_name("golden_parse.json")
@@ -478,16 +480,6 @@ def _record_parse(text: str) -> dict:
         return {"text": text, "error": str(exc), "position": exc.position}
 
 
-@contextlib.contextmanager
-def _parse_digit_limit():
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(_PARSE_DIGIT_LIMIT)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
-
-
 def test_golden_covers_every_case():
     assert [rec["argv"] for rec in _load()] == _cases()
 
@@ -513,11 +505,9 @@ def test_parse_golden_covers_every_case():
     assert [rec["text"] for rec in json.loads(PARSE_GOLDEN.read_text())] == _parse_cases()
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int/str digit limit"
-)
+@NEEDS_DIGIT_LIMIT
 def test_parses_match_golden():
-    with _parse_digit_limit():
+    with digit_limit(_PARSE_DIGIT_LIMIT):
         records = json.loads(PARSE_GOLDEN.read_text())
         mismatched = [rec["text"] for rec in records if _record_parse(rec["text"]) != rec]
     assert mismatched == []
@@ -559,7 +549,7 @@ if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     GOLDEN.write_text(json.dumps([_record(a) for a in _cases()], indent=1) + "\n")
     HELP_GOLDEN.write_text(json.dumps([_record_main(a) for a in _help_cases()], indent=1) + "\n")
-    with _parse_digit_limit():
+    with digit_limit(_PARSE_DIGIT_LIMIT):
         PARSE_GOLDEN.write_text(
             json.dumps([_record_parse(t) for t in _parse_cases()], indent=1) + "\n"
         )

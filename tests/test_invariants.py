@@ -23,7 +23,7 @@ from seifinv import (
     print_seifert,
 )
 from seifinv.cli import run
-from util import M, random_descriptor
+from util import M, NEEDS_DIGIT_LIMIT, digit_limit, random_descriptor
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "seifbench"))
 
@@ -31,14 +31,10 @@ from workloads import WORKLOADS  # noqa: E402
 
 
 @pytest.fixture
-def digit_limit():
+def default_limit():
     """Python's default limit on int/str conversion, restored afterwards."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # added in 3.10.7 and 3.11
-        pytest.skip("this Python has no int/str digit limit")
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(previous)
+    with digit_limit(4300) as limit:
+        yield limit
 
 
 _WIDE_POOL = ("(2,1)", "(3,-1)", "(1,4)", "(5,2)", "(2,-3)")
@@ -92,7 +88,8 @@ class TestParse:
         with pytest.raises(SeifertParseError):
             parse_seifert("(0,o1|(-2,1))")
 
-    def test_positions_reported(self, digit_limit):
+    @NEEDS_DIGIT_LIMIT
+    def test_positions_reported(self, default_limit):
         for text, pos in [("", 0), ("(0,x1|)", 3), ("(0,o1|(2,1)", 11)]:
             with pytest.raises(SeifertParseError) as exc:
                 parse_seifert(text)
@@ -109,8 +106,9 @@ class TestParse:
                 pos = start + offset
                 assert (exc.value.position, str(exc.value)) == (pos, f"{message} (at position {pos})")
 
-    def test_integer_digit_limit(self, digit_limit):
-        at_limit = "9" * digit_limit
+    @NEEDS_DIGIT_LIMIT
+    def test_integer_digit_limit(self, default_limit):
+        at_limit = "9" * default_limit
         assert parse_seifert(f"(0,o1|(2,{at_limit}))").pairs == ((2, int(at_limit)),)
         assert parse_seifert(f"(0,o1|(2,-{at_limit}))").pairs == ((2, -int(at_limit)),)
         assert parse_seifert(f"({at_limit},o1|)").base.genus == int(at_limit)
@@ -125,7 +123,7 @@ class TestParse:
             with pytest.raises(SeifertParseError) as exc:
                 parse_seifert(text)
             assert exc.value.position == pos
-            assert str(exc.value) == f"integer longer than {digit_limit} digits (at position {pos})"
+            assert str(exc.value) == f"integer longer than {default_limit} digits (at position {pos})"
 
 
 class TestPrint:

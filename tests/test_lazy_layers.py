@@ -10,7 +10,6 @@ imported every layer already.
 import ast
 import functools
 import json
-import os
 import re
 import shlex
 import subprocess
@@ -21,9 +20,9 @@ import pytest
 
 import seifinv
 from seifinv import admissibility, census, filling, invariants, surfaces, torus_mcg
+from util import fresh_env
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = str(ROOT / "src")
 LAYERS = (admissibility, census, filling, invariants, surfaces, torus_mcg)
 
 # The public names of the package, as the eager star-imports exported them.
@@ -53,9 +52,7 @@ print(" ".join(executed))
 
 
 def _python(*args):
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=fresh_env())
 
 
 def _layers_executed(code: str) -> list[str]:

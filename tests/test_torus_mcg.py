@@ -193,3 +193,32 @@ class TestFindConjugator:
 def test_window_is_the_brute_force_window(bound):
     window = [H for H in window_matrices(bound) if abs(mat_det(H)) == 1]
     assert _unimodular_entries(bound) == tuple((H.a, H.b, H.c, H.d) for H in window)
+
+
+def divisibility_window(bound):
+    """The unimodular window again, O(bound**3): for each (a, b, c) in it,
+    the d with a*d = b*c +- 1, or every d when a = 0 and b*c = +-1."""
+    rng = range(-bound, bound + 1)
+    out = []
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                if a == 0:
+                    ds = rng if abs(b * c) == 1 else ()
+                else:
+                    ds = sorted((b * c + s) // a for s in (1, -1) if (b * c + s) % a == 0)
+                out += [(a, b, c, d) for d in ds if abs(d) <= bound]
+    return tuple(out)
+
+
+def test_widest_window_is_the_divisibility_window():
+    widest = _unimodular_entries(MAX_BOUND)
+    assert len(widest) == 20712
+    assert widest == divisibility_window(MAX_BOUND)
+
+
+def test_every_window_is_the_widest_window_cut_down():
+    widest = _unimodular_entries(MAX_BOUND)
+    for bound in range(1, MAX_BOUND):
+        cut = tuple(H for H in widest if max(map(abs, H)) <= bound)
+        assert _unimodular_entries(bound) == cut, bound

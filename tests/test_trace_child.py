@@ -52,6 +52,8 @@ def test_traced_child_matches_main(argv, capsys):
         cli.main(argv)
     expected = capsys.readouterr()
 
+    # src alone, not util.fresh_env(): the benchmark runner starts the child
+    # with PYTHONPATH=src and nothing else, and this replays that start.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "seifbench" / "child.py"), str(time.perf_counter_ns()), *argv],

@@ -1,12 +1,19 @@
 """Shared helpers for the test suite: a descriptor from its fields, seeded
 random descriptor generators, the inverse of a unimodular matrix and the
-pair {A, -A}, the refusal of a matrix with a non-int entry and the unit
-tampers of the V(2,2;-1) data."""
+pair {A, -A}, the refusal of a matrix with a non-int entry, the unit
+tampers of the V(2,2;-1) data, a set int/str digit limit and the
+environment of a fresh interpreter."""
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import random
+import sys
+from pathlib import Path
+
+import pytest
 
 from seifinv import BaseSurface, IntMatrix2, SeifertInvariants, verify_v221_construction
 
@@ -59,3 +66,26 @@ def v221_unit_tampers():
                 moved = list(actions)
                 moved[j] = A._replace(**{entry: getattr(A, entry) + step})
                 yield tuple(moved[:3]), moved[3]
+
+
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int/str digit limit"
+)
+
+
+@contextlib.contextmanager
+def digit_limit(limit: int):
+    """Python's int/str digit limit set to ``limit``, restored afterwards."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield limit
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's
+    package: its ``src`` first, then the caller's PYTHONPATH."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
