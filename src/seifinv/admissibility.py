@@ -10,6 +10,7 @@ orbifold Euler characteristic.
 from __future__ import annotations
 
 from enum import Enum
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import _require
@@ -18,9 +19,8 @@ from .invariants import (
     GeometryType,
     Rational,
     SeifertInvariants,
-    euler_number,
+    _e_and_chi,
     normalize,
-    orbifold_euler_characteristic,
 )
 
 __all__ = [
@@ -73,13 +73,12 @@ def _violations(N: SeifertInvariants, e: Rational) -> tuple[Violation, ...]:
     return tuple(out)
 
 
-def _case_and_geometry(genus: int, fibered: bool, chi: Rational) -> tuple[str, GeometryType]:
+def _case_and_geometry(genus: int, fibered: bool, sign: int) -> tuple[str, GeometryType]:
     # The case and geometry of a normalized admissible descriptor of base
-    # genus ``genus``, with exceptional fibers when ``fibered``, and orbifold
-    # Euler characteristic chi.  The sign of chi, which is the sign of its
-    # numerator since the denominator is positive, picks the major case and
-    # the geometry; (genus, n) picks the letter.
-    sign = chi.numerator
+    # genus ``genus``, with exceptional fibers when ``fibered``, whose orbifold
+    # Euler characteristic has the sign of the int ``sign``: its numerator
+    # over any positive denominator.  The sign picks the major case and the
+    # geometry; (genus, n) picks the letter.
     if sign > 0:
         return ("1b" if fibered else "1a"), GeometryType.S2xR
     if sign == 0:
@@ -93,14 +92,16 @@ def check_admissible(M: SeifertInvariants) -> AdmissibilityReport:
     """Evaluate all admissibility conditions on the normalized descriptor.
 
     This is the one admissibility predicate: it normalizes once, computes
-    ``e`` and ``chi_orb`` once (each one pass over the tally, in exact
-    integers), reads the highest fiber order and the number of order-two
+    ``e`` and ``chi_orb`` together from one pass over the tally, in exact
+    integers, reads the highest fiber order and the number of order-two
     fibers in one more pass, and takes the case and the geometry from the
-    sign of ``chi_orb``.  The report carries the normalized descriptor and
-    both invariants, so callers need not compute them again.  Violations
-    accumulate rather than short-circuit, so the report is diagnostic.
-    Non-orientable bases are rejected: lift those to the
-    orientable double cover first (``census.lift_to_double_cover``).
+    sign of ``chi_orb``'s numerator.  The report carries the normalized
+    descriptor and both invariants, so callers need not compute them again.
+    Violations accumulate rather than short-circuit, so the report is
+    diagnostic.  A descriptor whose fiber orders have an lcm past
+    ``invariants.MAX_LCM_BITS`` bits is refused.  Non-orientable bases are
+    rejected: lift those to the orientable double cover first
+    (``census.lift_to_double_cover``).
     """
     _require(M, SeifertInvariants, "descriptor")
     if not M.base.orientable:
@@ -109,11 +110,11 @@ def check_admissible(M: SeifertInvariants) -> AdmissibilityReport:
             "(see lift_to_double_cover)"
         )
     N = normalize(M)
-    e, chi = euler_number(N), orbifold_euler_characteristic(N)
+    e, chi = _e_and_chi(N)
     violations = _violations(N, e)
     if violations:
         return AdmissibilityReport(False, violations, None, GeometryType.OTHER, N, e, chi)
-    label, geom = _case_and_geometry(N.base.genus, bool(N.pairs), chi)
+    label, geom = _case_and_geometry(N.base.genus, bool(N.pairs), chi.numerator)
     return AdmissibilityReport(True, violations, label, geom, N, e, chi)
 
 
@@ -150,5 +151,10 @@ def _window(g_max: int, n_max: int) -> tuple[list[BaseSurface], list[SeifertInva
     if n_max > MAX_NMAX:
         raise ValueError(f"nmax must be at most {MAX_NMAX}, got {n_max}")
     bases = [BaseSurface(g, True) for g in range(g_max + 1)]
-    evens = range(0, n_max + 1, 2)
-    return bases, [SeifertInvariants(bases[0], ((2, 1),) * n, -(n // 2)) for n in evens]
+    # Built from fields known to pass the checks: n pairs (2,1) and their tally.
+    return bases, [
+        SeifertInvariants._on_base(
+            bases[0], ((2, 1),) * n, -(n // 2), MappingProxyType({(2, 1): n} if n else {})
+        )
+        for n in range(0, n_max + 1, 2)
+    ]

@@ -16,13 +16,7 @@ from typing import NamedTuple
 
 from . import _Checked, _require, filling, surfaces
 from .admissibility import AdmissibilityReport, check_admissible
-from .invariants import (
-    BaseSurface,
-    Rational,
-    SeifertInvariants,
-    euler_number,
-    orbifold_euler_characteristic,
-)
+from .invariants import BaseSurface, Rational, SeifertInvariants, _e_and_chi
 
 __all__ = [
     "CensusReport",
@@ -83,16 +77,28 @@ class CensusReport(NamedTuple):
         return len(self.records)
 
 
+# The longest descriptor text a refusal echoes whole; a longer one is echoed
+# as its first and last characters and its length.
+ECHO_MAX = 200
+
+
 def _require_admissible(
     M: SeifertInvariants, report: AdmissibilityReport | None = None
 ) -> AdmissibilityReport:
     """Refuse ``M`` unless it is admissible, naming every violation; return
-    its admissibility report (``report``, when the caller has it already)."""
+    its admissibility report (``report``, when the caller has it already).
+
+    The refusal echoes ``M``, shortened past ``ECHO_MAX`` characters, so a
+    descriptor of many fibers gives a short message that still names every
+    violation."""
     if report is None:
         report = check_admissible(M)
     if not report.admissible:
+        text = str(M)
+        if len(text) > ECHO_MAX:
+            text = f"{text[:120]}...{text[-40:]} ({len(text)} characters)"
         tags = ", ".join(v.value for v in report.violations)
-        raise ValueError(f"{M} admits no reversing involution ({tags})")
+        raise ValueError(f"{text} admits no reversing involution ({tags})")
     return report
 
 
@@ -166,14 +172,15 @@ def lift_to_double_cover(M: SeifertInvariants) -> tuple[SeifertInvariants, Doubl
     _require(M, SeifertInvariants, "descriptor")
     if M.base.orientable:
         raise ValueError("double-cover lift applies to non-orientable bases only")
+    # The input's invariants come first, so a refusal numbers the input's
+    # fibers, not the cover's.  Normalizing preserves both invariants, so the
+    # cover's are read off its admissibility report.
+    e_in, chi_in = _e_and_chi(M)
     cover_base = BaseSurface(M.base.genus - 1, True)
     cover_pairs = tuple(p for pair in M.pairs for p in (pair, pair))
     cover = SeifertInvariants(cover_base, cover_pairs, 2 * M.b)
-    # Normalizing preserves both invariants, so the cover's are read off its
-    # admissibility report.
     adm = check_admissible(cover)
-    e_in, e_cov = euler_number(M), adm.euler_number
-    chi_in, chi_cov = orbifold_euler_characteristic(M), adm.chi_orb
+    e_cov, chi_cov = adm.euler_number, adm.chi_orb
     report = DoubleCoverReport(
         e_in, e_cov, chi_in, chi_cov, e_cov == 2 * e_in, chi_cov == 2 * chi_in, adm
     )

@@ -7,10 +7,9 @@ is a group, and its arguments are its own table.  Every leaf command also
 takes ``--json``.  ``run`` builds the argparse parser from the table on each
 call, imports the module of the command it parsed, and ``_finish`` renders
 the handler's text lines or, with ``--json``, its payload.  A process thus
-compiles the one handler it runs.  ``_indented`` renders each payload as
-``json.dumps(payload, indent=2)`` does and hands it every nested value but
-lists of rows, which its ``indent`` path writes slowly; ``json`` is
-imported only with ``--json``.
+compiles the one handler it runs.  ``json_render.indented`` renders each
+``--json`` payload as ``json.dumps(payload, indent=2)`` does; it, and
+``json`` with it, is imported only with ``--json``.
 
 Exit codes: 0 on success, 1 for parse/domain errors, 2 for usage errors.
 All JSON payloads carry a top-level ``"schema": "1"`` field.  Output is
@@ -91,50 +90,14 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str, table) -> None:
         p.set_defaults(module=module)
 
 
-def _indented(payload) -> str:
-    """``json.dumps(payload, indent=2)``, byte for byte.
-
-    ``indent`` switches the stdlib to its pure-Python encoder, too slow for
-    the thousands of rows ``enumerate`` and ``census`` write.  So a value of
-    a non-empty dict payload that is a str, int, bool or None, or a list of
-    dicts all with the first one's keys, in its order, and such values, is
-    written here, a list by one %-format of its rows' template repeated;
-    everything else goes to ``json.dumps``.
-    """
-    from itertools import chain
-    from json import dumps
-    from json.encoder import encode_basestring_ascii as text
-
-    def scalar(v):  # the JSON text of a str, int, bool or None, else None
-        if type(v) is str:
-            return text(v)
-        if v is None or v is True or v is False:
-            return "null" if v is None else "true" if v else "false"
-        return int.__repr__(v) if type(v) is int else None
-
-    def value(v):  # the JSON text of a value of the payload, one level deep
-        if (s := scalar(v)) is not None:
-            return s
-        keys = type(v) is list and v and type(v[0]) is dict and tuple(v[0])
-        if keys and all(type(row) is dict and tuple(row) == keys for row in v):
-            cells = tuple(map(scalar, chain.from_iterable(map(dict.values, v))))
-            if None not in cells:
-                fields = ",\n      ".join([text(k).replace("%", "%%") + ": %s" for k in keys])
-                rows = ",\n    ".join(["{\n      " + fields + "\n    }"] * len(v))
-                return "[\n    " + rows % cells + "\n  ]"
-        return dumps(v, indent=2).replace("\n", "\n  ")
-
-    if type(payload) is not dict or not payload:
-        return dumps(payload, indent=2)
-    return "{\n  " + ",\n  ".join([text(k) + ": " + value(v) for k, v in payload.items()]) + "\n}"
-
-
 def _finish(args, payload: dict, lines: list[str]) -> CommandResult:
     """The command's result: its text lines joined, or with ``--json`` its
-    payload, schema first, as ``_indented`` renders it."""
+    payload, schema first, as ``json_render.indented`` renders it."""
     payload = {"schema": SCHEMA, **payload}
     if args.json:
-        return CommandResult("ok", payload, _indented(payload), 0)
+        from .json_render import indented
+
+        return CommandResult("ok", payload, indented(payload), 0)
     return CommandResult("ok", payload, "\n".join(lines), 0)
 
 

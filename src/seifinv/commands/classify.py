@@ -14,7 +14,7 @@ def handle(args):
         geom, case = report.geometry.value, report.case_label
     else:
         N = invariants.normalize(M)
-        e, chi = invariants.euler_number(N), invariants.orbifold_euler_characteristic(N)
+        e, chi = invariants._e_and_chi(N)
         geom, case = invariants.GeometryType.OTHER.value, None
     N = printed("the normalized descriptor", N)
     e, chi = printed("euler_number", e), printed("chi_orb", chi)

@@ -9,27 +9,29 @@ def handle(args):
     """One row per descriptor of ``enumerate_admissible``, in its order.
 
     Only the case reads the genus, so each even fiber count n is checked
-    once, by ``check_admissible`` on its genus-0 descriptor (the normalized
-    record, ``e`` and the violations), and its fibers are printed and summed
-    (``_tally_sums``) once.  A row builds no record: from its base and its
-    count's sums it derives only the base's text, its ``chi_orb`` and its
-    case and geometry, through the helpers ``check_admissible`` uses.
+    once, by ``check_admissible`` on its descriptor on the window's first
+    base (the normalized record, ``e``, ``chi_orb`` and the violations, from
+    one tally pass), and its fibers are printed once.  A row builds no
+    record and no ``Rational``: moving the fibers to another base moves
+    ``chi_orb`` by the change in chi(base), so with the count's ``chi_orb``
+    = n/d the row's sign is that of the int n + (chi(base) - chi(first))*d,
+    which it hands to the case rule ``check_admissible`` uses.
     """
     bases, fibers = admissibility._window(args.gmax, args.nmax)
+    first = bases[0].euler_characteristic()
     counts = []
     for M in fibers:
         report = admissibility.check_admissible(M)
-        N = report.normalized
-        L, _, deficit = invariants._tally_sums(N)
-        counts.append((report, invariants._print_body(M), bool(N.pairs), L, deficit))
+        d = report.chi_orb.denominator
+        offset = report.chi_orb.numerator - first * d
+        counts.append((report, invariants._print_body(M), bool(report.normalized.pairs), d, offset))
     rows = []
     for base in bases:
-        head, genus = invariants._print_head(base), base.genus
-        for report, body, fibered, L, deficit in counts:
+        head, genus, chi = invariants._print_head(base), base.genus, base.euler_characteristic()
+        for report, body, fibered, d, offset in counts:
             case, geometry = report.case_label, report.geometry
             if report.admissible:
-                chi = invariants._chi(base, L, deficit)
-                case, geometry = admissibility._case_and_geometry(genus, fibered, chi)
+                case, geometry = admissibility._case_and_geometry(genus, fibered, chi * d + offset)
             rows.append({"descriptor": head + body, "case": case, "geometry": geometry.value})
     lines = [f"{r['descriptor']}  case={r['case']}  geometry={r['geometry']}" for r in rows]
     return {"gmax": args.gmax, "nmax": args.nmax, "descriptors": rows}, lines

@@ -390,11 +390,23 @@ class Rational:
     __ge__ = _compared(operator.ge)
 
 
+# The largest lcm of the fiber orders a descriptor may have, in bits (19,729
+# decimal digits): past it the sums are refused rather than grown, so one
+# descriptor's invariants cost one step per distinct pair on integers of at
+# most about this size.
+MAX_LCM_BITS = 1 << 16
+
+
 def _tally_sums(M: SeifertInvariants) -> tuple[int, int, int]:
     """(L, sum of count*p*(L/q), sum of count*(L - L/q)) over ``M.tally``,
     with L = lcm(q_i), in one pass: whenever a pair's q grows L, the sums
-    taken so far are scaled up with it.  Refuses anything but a descriptor,
-    for ``euler_number`` and ``orbifold_euler_characteristic``."""
+    taken so far are scaled up with it.  ``_e_and_chi`` is its one caller.
+
+    A q that takes L past ``MAX_LCM_BITS`` bits stops the pass with a
+    ``ValueError`` naming the first exceptional fiber (order q > 1, counted
+    in written order, so normalizing keeps the number) at which the lcm of
+    the orders so far passes the bound.  Refuses anything but a descriptor.
+    """
     _require(M, SeifertInvariants, "descriptor")
     L = 1
     fibers = deficit = 0
@@ -402,6 +414,13 @@ def _tally_sums(M: SeifertInvariants) -> tuple[int, int, int]:
         if L % q:
             grow = q // math.gcd(L, q)
             L *= grow
+            if L.bit_length() > MAX_LCM_BITS:
+                written = M.pairs[: M.pairs.index((q, p)) + 1]
+                fiber = sum(1 for q_i, _ in written if q_i > 1)
+                raise ValueError(
+                    f"fiber orders too large: their lcm passes {MAX_LCM_BITS} bits "
+                    f"at exceptional fiber {fiber}"
+                )
             fibers *= grow
             deficit *= grow
         share = L // q
@@ -410,15 +429,23 @@ def _tally_sums(M: SeifertInvariants) -> tuple[int, int, int]:
     return L, fibers, deficit
 
 
+def _e_and_chi(M: SeifertInvariants) -> tuple[Rational, Rational]:
+    """(``euler_number(M)``, ``orbifold_euler_characteristic(M)``) from one
+    ``_tally_sums`` pass, each reduced once: the pass of every caller."""
+    L, fibers, deficit = _tally_sums(M)
+    chi = M.base.euler_characteristic() * L - deficit
+    return Rational(-(M.b * L + fibers), L), Rational(chi, L)
+
+
 def euler_number(M: SeifertInvariants) -> Rational:
     """e = -(b + sum of p_i/q_i), exactly.
 
     The sum is taken in integers over the common denominator L = lcm(q_i),
     e = -(b*L + sum of p_i*(L/q_i)) / L, in one pass over the distinct pairs
-    weighted by their multiplicities, and reduced once at the end.
+    weighted by their multiplicities, and reduced once at the end.  Refused
+    when L passes ``MAX_LCM_BITS`` bits.
     """
-    L, fibers, _ = _tally_sums(M)
-    return Rational(-(M.b * L + fibers), L)
+    return _e_and_chi(M)[0]
 
 
 def orbifold_euler_characteristic(M: SeifertInvariants) -> Rational:
@@ -426,13 +453,6 @@ def orbifold_euler_characteristic(M: SeifertInvariants) -> Rational:
 
     Summed in integers over L = lcm(q_i) as (chi*L - sum of (L - L/q_i)) / L,
     in one pass over the distinct pairs weighted by their multiplicities, and
-    reduced once at the end.
+    reduced once at the end.  Refused when L passes ``MAX_LCM_BITS`` bits.
     """
-    L, _, deficit = _tally_sums(M)
-    return _chi(M.base, L, deficit)
-
-
-def _chi(base: BaseSurface, L: int, deficit: int) -> Rational:
-    """chi_orb on ``base`` of fibers whose ``_tally_sums`` are ``L`` and
-    ``deficit``; ``enumerate`` reuses one fiber count's sums on every base."""
-    return Rational(base.euler_characteristic() * L - deficit, L)
+    return _e_and_chi(M)[1]

@@ -19,6 +19,7 @@ from seifinv import (
     print_seifert,
     verify_v221_construction,
 )
+from seifinv.cli import run
 from util import M, coprime_pair, v221_unit_tampers
 
 FLAT = parse_seifert("(0,o1|(2,1),(2,1),(2,1),(2,1),(1,-2))")
@@ -96,6 +97,48 @@ class TestFiberFlipConjugacy:
             validator = partial(verify_v221_construction, inner, outer)
             monkeypatch.setattr(filling, "verify_v221_construction", validator)
             assert not fiber_flip_conjugacy_check(manifold)
+
+
+class TestRefusalEcho:
+    """A refusal echoes the descriptor whole up to 200 characters; a longer
+    one as its first 120 and last 40 characters and its length, before the
+    violation tags."""
+
+    @staticmethod
+    def refusal(desc):
+        with pytest.raises(ValueError) as exc:
+            enumerate_factorizations(desc)
+        return str(exc.value)
+
+    def test_two_hundred_characters_are_echoed_whole(self):
+        desc = M(0, [(3, 10**188 + 1)])  # (0,o1|(3,100...01)): 200 characters
+        text = print_seifert(desc)
+        assert len(text) == 200
+        tags = "(NonzeroEuler, OrderGreaterThanTwo)"
+        assert self.refusal(desc) == f"{text} admits no reversing involution {tags}"
+
+    def test_a_longer_descriptor_is_echoed_short(self):
+        desc = M(0, [(3, 10**189 + 1)])
+        text = print_seifert(desc)
+        assert len(text) == 201
+        assert self.refusal(desc) == (
+            f"{text[:120]}...{text[-40:]} (201 characters) admits no reversing involution "
+            "(NonzeroEuler, OrderGreaterThanTwo)"
+        )
+
+    def test_a_120_kb_descriptor_names_every_violation(self):
+        desc = M(0, [(2, 1)] * 20_001, 3)
+        text = print_seifert(desc)
+        assert len(text) > 120_000
+        tags = "(NonzeroEuler, OddCount, WrongBTerm)"
+        expected = (
+            f"(0,o1|{'(2,1),' * 19}...,1),{'(2,1),' * 5}(1,3)) ({len(text)} characters) "
+            f"admits no reversing involution {tags}"
+        )
+        assert self.refusal(desc) == expected
+        for argv in (["census", text], ["psi-check", text], ["psi-check", text, "--trials", "0"]):
+            result = run(argv)
+            assert (result.exit_code, result.message) == (1, expected), argv[2:]
 
 
 class TestLiftToDoubleCover:

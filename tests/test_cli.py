@@ -145,11 +145,12 @@ class TestEnteredIntegerDigitLimit:
 
 
 class TestInvariantsDerivedOnce:
-    """classify, psi-check and census normalize the descriptor and compute
-    ``e`` and ``chi_orb`` once each; later steps read the admissibility
-    report."""
+    """classify, psi-check and census normalize the descriptor once and take
+    ``e`` and ``chi_orb`` from one ``_tally_sums`` pass, two ``Rational``
+    values; later steps read the admissibility report."""
 
-    COUNTED = ("normalize", "euler_number", "orbifold_euler_characteristic")
+    COUNTED = ("normalize", "_tally_sums", "Rational")
+    ONCE = {"normalize": 1, "_tally_sums": 1, "Rational": 2}
 
     @pytest.mark.parametrize(
         "argv",
@@ -165,14 +166,15 @@ class TestInvariantsDerivedOnce:
         ],
     )
     def test_one_call_each(self, argv, monkeypatch):
-        assert self.calls(argv, monkeypatch) == dict.fromkeys(self.COUNTED, 1), argv
+        assert self.calls(argv, monkeypatch) == self.ONCE, argv
 
+    @pytest.mark.parametrize("gmax", ["0", "3"])
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
-    def test_enumerate_once_per_fiber_count(self, json_flag, monkeypatch):
-        # 4 genera times the 5 even fiber counts 0-8: 20 rows.  Each fiber
-        # count is built, normalized and has e and chi_orb computed once; a
-        # row builds no record and computes no invariant through the public
-        # functions.
+    def test_enumerate_once_per_fiber_count(self, gmax, json_flag, monkeypatch):
+        # The 5 even fiber counts 0-8, on 1 or 4 genera: 5 or 20 rows.  Each
+        # fiber count is built and normalized once and takes one tally pass
+        # and two Rational values; a row builds no record, takes no pass and
+        # builds no Rational, so the counts do not depend on the genera.
         records = 0
         on_base = invariants.SeifertInvariants._on_base.__func__
 
@@ -182,24 +184,29 @@ class TestInvariantsDerivedOnce:
             return on_base(cls, *args)
 
         monkeypatch.setattr(invariants.SeifertInvariants, "_on_base", classmethod(counted))
-        argv = ["enumerate", "--gmax", "3", "--nmax", "8", *json_flag]
+        argv = ["enumerate", "--gmax", gmax, "--nmax", "8", *json_flag]
         calls = self.calls(argv, monkeypatch)
-        assert calls == dict.fromkeys(self.COUNTED, 5)
+        assert calls == {name: 5 * count for name, count in self.ONCE.items()}
         assert records == 5
 
     def calls(self, argv, monkeypatch):
         calls = dict.fromkeys(self.COUNTED, 0)
-        for name in self.COUNTED:
+
+        def counting(name, original):
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return counted
+
+        for name in ("normalize", "_tally_sums"):
             original = getattr(invariants, name)
-
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
             for module in (invariants, admissibility, census, cli):
                 if vars(module).get(name) is original:
-                    monkeypatch.setattr(module, name, counted)
-        run(argv)
+                    monkeypatch.setattr(module, name, counting(name, original))
+        Rational = invariants.Rational
+        monkeypatch.setattr(Rational, "__init__", counting("Rational", Rational.__init__))
+        assert run(argv).exit_code in (0, 1), argv
         return calls
 
 

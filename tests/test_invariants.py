@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -23,6 +24,7 @@ from seifinv import (
     print_seifert,
 )
 from seifinv.cli import run
+from seifinv.invariants import MAX_LCM_BITS
 from util import M, NEEDS_DIGIT_LIMIT, digit_limit, random_descriptor
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "seifbench"))
@@ -287,6 +289,93 @@ class TestIntegerSums:
         folded = normalize(M(2, [(2, 3), (1, 1), (3, -1)], -3))
         assert folded == M(2, [(2, 1), (3, 2)], -2)
         assert normalize(folded) is folded
+
+
+def _orders(digits, count):
+    """``count`` distinct orders of ``digits`` digits: 10**(digits-1) + i."""
+    return [10 ** (digits - 1) + i for i in range(count)]
+
+
+def _first_past_the_bound(orders):
+    """The 1-based number of the first order at which the lcm of the orders
+    so far passes ``MAX_LCM_BITS`` bits, by ``math.lcm``; None if none does."""
+    L = 1
+    for k, q in enumerate(orders, 1):
+        L = math.lcm(L, q)
+        if L.bit_length() > MAX_LCM_BITS:
+            return k
+    return None
+
+
+class _CountedTally(dict):
+    """A tally that counts the items a pass over it reads."""
+
+    steps = 0
+
+    def items(self):
+        for item in super().items():
+            self.steps += 1
+            yield item
+
+
+def _past_the_bound(fiber):
+    return (
+        f"fiber orders too large: their lcm passes {MAX_LCM_BITS} bits "
+        f"at exceptional fiber {fiber}"
+    )
+
+
+class TestLcmBound:
+    """The invariants are summed over L = lcm(q_i), which may have at most
+    ``MAX_LCM_BITS`` bits: the pass that would grow L past that stops there
+    and refuses, naming the exceptional fiber.  So the worst-case shapes, a
+    descriptor of 1,200 distinct 100-digit orders (126 KB) and one of 4,000
+    distinct 30-digit orders (140 KB), are refused after a few hundred steps
+    of one pass, not summed whole."""
+
+    @pytest.mark.parametrize("digits, count, fiber", [(100, 1200, 203), (30, 4000, 737)])
+    def test_worst_case_shapes_stop_early(self, digits, count, fiber):
+        orders = _orders(digits, count)
+        assert _first_past_the_bound(orders) == fiber
+        desc = M(0, [(q, 1) for q in orders])
+        tally = _CountedTally(desc.tally)
+        counted = SeifertInvariants._on_base(desc.base, desc.pairs, desc.b, tally)
+        with pytest.raises(ValueError) as exc:
+            euler_number(counted)
+        assert str(exc.value) == _past_the_bound(fiber)
+        assert tally.steps == fiber
+        text = print_seifert(desc)
+        assert len(text) > 125_000
+        for command in ("admissible", "classify", "census", "psi-check"):
+            result = run([command, text])
+            assert (result.exit_code, result.message) == (1, _past_the_bound(fiber)), command
+
+    def test_the_bound_is_on_the_bit_length(self):
+        # L = 3 * 2**(MAX_LCM_BITS - 2) has MAX_LCM_BITS bits; twice it, one more.
+        q = 2 ** (MAX_LCM_BITS - 2)
+        at = M(0, [(3, 1), (q, 1)])
+        assert orbifold_euler_characteristic(at) == 2 - Fraction(2, 3) - 1 + Fraction(1, q)
+        past = M(0, [(3, 1), (2 ** (MAX_LCM_BITS - 1), 1)])
+        for invariant in (euler_number, orbifold_euler_characteristic, check_admissible):
+            with pytest.raises(ValueError) as exc:
+                invariant(past)
+            assert str(exc.value) == _past_the_bound(2)
+
+    def test_fibers_are_numbered_in_written_order(self):
+        # A q = 1 pair before every order and a repeated fiber, written
+        # unnormalized, after the first: the refusal counts the fibers of
+        # order q > 1 as written, for the input and its normal form alike.
+        orders = _orders(100, 300)
+        fiber = _first_past_the_bound(orders) + 1
+        pairs = [(orders[0], 1), (orders[0], 1 + orders[0])]
+        for q in orders[1:]:
+            pairs += [(1, -1), (q, 1)]
+        body = ",".join(f"({q},{p})" for q, p in [(1, 5)] + pairs) + ")"
+        for command, base in [
+            ("classify", "(0,o1|"), ("admissible", "(2,o1|"), ("classify", "(2,n1|"), ("lift", "(2,n1|")
+        ]:
+            result = run([command, base + body])
+            assert (result.exit_code, result.message) == (1, _past_the_bound(fiber)), (command, base)
 
 
 def geometry(desc):

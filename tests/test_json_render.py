@@ -1,4 +1,4 @@
-"""``cli._indented`` writes every ``--json`` payload; it must equal
+"""``json_render.indented`` writes every ``--json`` payload; it must equal
 ``json.dumps(payload, indent=2)`` byte for byte.  It is checked on the
 payload of every successful ``--json`` golden case and on seeded random
 payloads built to reach each of its paths: empty containers, lists of rows
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from seifinv import cli
+from seifinv.json_render import indented
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 
@@ -111,14 +111,14 @@ def test_golden_payloads():
     payloads = golden_payloads()
     assert len(payloads) == 164
     for payload in payloads:
-        assert cli._indented(payload) == json.dumps(payload, indent=2)
+        assert indented(payload) == json.dumps(payload, indent=2)
 
 
 def test_random_payloads(no_digit_limit):
     rng = random.Random(2101)
     for _ in range(2000):
         payload = value(rng, 4) if rng.randrange(4) else rows(rng, 4)
-        assert cli._indented(payload) == json.dumps(payload, indent=2), payload
+        assert indented(payload) == json.dumps(payload, indent=2), payload
 
 
 @pytest.mark.parametrize(
@@ -126,4 +126,4 @@ def test_random_payloads(no_digit_limit):
     [{}, [], {"a": {}}, {"a": []}, [[], {}], [{}, {}], [{"%s": 1}, {"%s": 2}], {"%": [{"%%": "%"}]}],
 )
 def test_edge_payloads(payload):
-    assert cli._indented(payload) == json.dumps(payload, indent=2)
+    assert indented(payload) == json.dumps(payload, indent=2)
