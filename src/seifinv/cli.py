@@ -4,12 +4,18 @@
 its arguments as ``(flag, add_argument keywords)`` pairs and the module in
 ``seifinv.commands`` whose ``handle`` runs it; a row whose module is ``None``
 is a group, and its arguments are its own table.  Every leaf command also
-takes ``--json``.  ``run`` builds the argparse parser from the table on each
-call, imports the module of the command it parsed, and ``_finish`` renders
-the handler's text lines or, with ``--json``, its payload.  A process thus
-compiles the one handler it runs.  ``json_render.indented`` renders each
-``--json`` payload as ``json.dumps(payload, indent=2)`` does; it, and
-``json`` with it, is imported only with ``--json``.
+takes ``--json``.  ``run`` builds the argparse tree from the table on each
+call, one parser per command, so the choice lists, usage lines, help and
+errors are argparse's own.  A command's own arguments, and a group's
+sub-table, are built on demand: the subcommand action ``_Commands`` adds them
+only to the parser of the command being parsed.  The tree is not kept
+between calls yet: the benchmark runner keeps one sample per request, so the
+throughput of a kept tree breaks its memory bound (ROADMAP items 1 and 2).
+``run`` then imports the module of the command it parsed, and ``_finish``
+renders the handler's text lines or, with ``--json``, its payload.  A
+process thus compiles the one handler it runs.  ``json_render.indented``
+renders each ``--json`` payload as ``json.dumps(payload, indent=2)`` does;
+it, and ``json`` with it, is imported only with ``--json``.
 
 Exit codes: 0 on success, 1 for parse/domain errors, 2 for usage errors.
 All JSON payloads carry a top-level ``"schema": "1"`` field.  Output is
@@ -77,17 +83,30 @@ COMMANDS = (
 )
 
 
-def _add_commands(parser: argparse.ArgumentParser, dest: str, table) -> None:
-    sub = parser.add_subparsers(dest=dest, required=True)
-    for name, help, arguments, module in table:
-        p = sub.add_parser(name, help=help)
+class _Commands(argparse._SubParsersAction):
+    """A subcommand action that adds the parsed command's own arguments, or
+    a group's sub-table, to its parser just before that parser parses."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]  # argparse has checked it against the choices
+        arguments, module = self.rows[name]
+        chosen = self._name_parser_map[name]
         if module is None:
-            _add_commands(p, f"{name}_command", arguments)
-            continue
-        for flag, keywords in arguments:
-            p.add_argument(flag, **keywords)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(module=module)
+            _add_commands(chosen, f"{name}_command", arguments)
+        else:
+            for flag, keywords in arguments:
+                chosen.add_argument(flag, **keywords)
+            chosen.add_argument("--json", action="store_true")
+            chosen.set_defaults(module=module)
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _add_commands(parser: argparse.ArgumentParser, dest: str, table) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True, action=_Commands)
+    sub.rows = {}
+    for name, help, arguments, module in table:
+        sub.add_parser(name, help=help)
+        sub.rows[name] = (arguments, module)
 
 
 def _finish(args, payload: dict, lines: list[str]) -> CommandResult:

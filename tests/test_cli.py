@@ -1,6 +1,8 @@
+import argparse
 import json
 import subprocess
 import sys
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -208,6 +210,53 @@ class TestInvariantsDerivedOnce:
         monkeypatch.setattr(Rational, "__init__", counting("Rational", Rational.__init__))
         assert run(argv).exit_code in (0, 1), argv
         return calls
+
+
+def _leaves(table, path=()):
+    """(command path, dests of its own arguments) for every leaf of the table."""
+    for name, _, arguments, module in table:
+        if module is None:
+            yield from _leaves(arguments, (*path, name))
+        else:
+            yield (*path, name), [flag.lstrip("-").replace("-", "_") for flag, _ in arguments]
+
+
+class TestArgumentsAddedOnDemand:
+    """A run builds a parser for every command, but adds arguments only to
+    the command it parses: the leaf's own arguments and ``--json``, besides
+    each parser's ``-h``.  That is 11 parsers for a top-level command and 13
+    for an ``mcg`` one."""
+
+    DESCRIPTOR = "(0,o1|(2,1),(2,1),(2,1),(2,1),(1,-2))"
+    ARGS = {
+        ("classify",): [DESCRIPTOR],
+        ("admissible",): [DESCRIPTOR],
+        ("enumerate",): ["--gmax", "1", "--nmax", "2"],
+        ("mcg", "class"): ["0,1;1,0"],
+        ("mcg", "conjugate"): ["0,1;1,0", "1,0;0,-1", "--bound", "3"],
+        ("extend",): ["--slope", "1,2", "--matrix=-1,0;0,1"],
+        ("verify-v221",): [],
+        ("surface-classes",): ["--genus", "1"],
+        ("census",): [DESCRIPTOR],
+        ("lift",): ["(2,n1|)"],
+        ("psi-check",): [DESCRIPTOR, "--trials", "1"],
+    }
+
+    @pytest.mark.parametrize("path, dests", list(_leaves(cli.COMMANDS)), ids=" ".join)
+    def test_adds_only_the_parsed_commands_arguments(self, path, dests, monkeypatch):
+        parsers = 11 if len(path) == 1 else 13
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def spied(self, *args, **kwargs):
+            action = add_argument(self, *args, **kwargs)
+            added.append(action.dest)
+            return action
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spied)
+        assert run([*path, *self.ARGS[path]]).exit_code == 0
+        # Every parser adds its own -h; so "help" counts the parsers built.
+        assert Counter(added) == Counter({"help": parsers, "json": 1, **dict.fromkeys(dests, 1)})
 
 
 class TestUsageErrors:
