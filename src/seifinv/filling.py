@@ -14,10 +14,15 @@ families, (1,2) and (x,1), and refuses every other slope.
 
 The class Psi is the product involution extended across V(2,2;-1) blocks -
 the trivially fibered solid torus with three interior fibers refilled by
-(2,1), (2,1), (1,-1).  ``verify_v221_construction`` is the one check of that
-data: every inner action is an involution, some assignment of the fillings
-lets each one extend, and the outer action is the fiber flip diag(-1,1) that
-the inner actions induce on the outer torus.
+(2,1), (2,1), (1,-1).  Those three Seifert pairs are the block's only data:
+its fillings (slope (m,l) = (p,q) for pair (q,p)) and its inner actions
+(each filling's fiber-reversing member, eps = -1) are derived from them.
+``verify_v221_construction`` is the one check of that data: every inner
+action is an involution, some assignment of the fillings lets each one
+extend, and the outer action is the fiber flip diag(-1,1) that the inner
+actions induce on the outer torus.  The members [[-1, 2m_i/l_i], [0, 1]]
+induce [[-1, -sum 2m_i/l_i], [0, 1]], the fiber flip exactly when
+sum p_i/q_i = 0: the block's Euler number, 1/2 + 1/2 - 1 = 0.
 
 Framing convention everywhere: column vectors over the ordered basis
 (fiber class, section class).
@@ -90,15 +95,15 @@ def extension_condition(filling: FillingSlope) -> frozenset[IntMatrix2]:
     return frozenset((IntMatrix2(1, b, 0, -1), IntMatrix2(-1, -b, 0, 1)))
 
 
-# Fiber-flip actions on the three drilled-fiber tori of V(2,2;-1), the
-# fillings that close them up (slope (m,l) for Seifert pair (q,p) = (l,m)),
-# and the fiber flip on the outer torus: fiber reversed, section fixed.
-_V221_INNER_ACTIONS = (
-    IntMatrix2(-1, 1, 0, 1),
-    IntMatrix2(-1, -2, 0, 1),
-    IntMatrix2(-1, 1, 0, 1),
+# V(2,2;-1) as its Seifert pairs (q,p) in printed order, and what they give:
+# the fillings (slope (m,l) = (p,q)), their conditions and the inner actions.
+# The outer action is the fiber flip: fiber reversed, section fixed.
+_V221_PAIRS = ((2, 1), (1, -1), (2, 1))
+_V221_FILLINGS = tuple(FillingSlope(p, q) for q, p in _V221_PAIRS)
+_V221_CONDITIONS = {f: extension_condition(f) for f in _V221_FILLINGS}
+_V221_INNER_ACTIONS = tuple(
+    next(A for A in _V221_CONDITIONS[f] if A.a == -1) for f in _V221_FILLINGS
 )
-_V221_FILLINGS = (FillingSlope(1, 2), FillingSlope(1, 2), FillingSlope(-1, 1))
 _FIBER_FLIP = IntMatrix2(-1, 0, 0, 1)
 
 
@@ -118,7 +123,10 @@ def _induced_outer_action(inner: tuple[IntMatrix2, ...]) -> IntMatrix2 | None:
 
 
 class ConstructionReport(NamedTuple):
-    """Pass/fail detail for the V(2,2;-1) involution verification."""
+    """Pass/fail detail for the V(2,2;-1) involution verification.
+
+    ``extends_ok[i]``: inner action i extends across some of the fillings.
+    """
 
     matrices: tuple[IntMatrix2, ...]
     involution_ok: tuple[bool, ...]
@@ -150,17 +158,17 @@ def verify_v221_construction(
         raise ValueError("expected exactly three inner boundary actions")
     # Before the search hashes them: is_involution refuses what is no matrix.
     involution_ok = tuple(is_involution(A) for A in inner)
-    conditions = {f: extension_condition(f) for f in set(_V221_FILLINGS)}
     assignment = next(
         (
             perm
             for perm in itertools.permutations(_V221_FILLINGS)
-            if all(A in conditions[f] for A, f in zip(inner, perm))
+            if all(A in _V221_CONDITIONS[f] for A, f in zip(inner, perm))
         ),
         None,
     )
+    extends_ok = tuple(any(A in c for c in _V221_CONDITIONS.values()) for A in inner)
     outer_ok = outer == _FIBER_FLIP and outer == _induced_outer_action(inner)
     passed = all(involution_ok) and assignment is not None and outer_ok
     return ConstructionReport(
-        inner, involution_ok, assignment, (assignment is not None,) * 3, outer, outer_ok, passed
+        inner, involution_ok, assignment, extends_ok, outer, outer_ok, passed
     )

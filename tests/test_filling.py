@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -71,10 +72,10 @@ def answered(slopes):
     return [slope for slope in slopes if slope.l == 1 or slope == (1, 2)]
 
 
-def fiber_sign_members(sign):
-    """For each V(2,2;-1) filling, the member of its extension condition that
-    sends the fiber class to ``sign`` times itself."""
-    return [next(A for A in extension_condition(f) if A.a == sign) for f in V221_FILLINGS]
+def fiber_sign_members(sign, fillings=V221_FILLINGS):
+    """For each filling (by default those of V(2,2;-1)), the member of its
+    extension condition that sends the fiber class to ``sign`` times itself."""
+    return [next(A for A in extension_condition(f) if A.a == sign) for f in fillings]
 
 
 class TestFillingSlope:
@@ -275,6 +276,17 @@ class TestVerifyConstruction:
         assert report.outer_ok
         assert [str(f) for f in report.assignment] == ["(1,2)", "(-1,1)", "(1,2)"]
 
+    def test_extends_ok_is_per_matrix(self):
+        # Three copies of the (1,2) action have no assignment, yet each one
+        # extends across some filling on its own; an action in no condition
+        # is the one entry that reads False.
+        A = IntMatrix2(-1, 1, 0, 1)
+        report = verify_v221_construction((A, A, A))
+        assert report.assignment is None and not report.passed
+        assert report.extends_ok == (True, True, True)
+        report = verify_v221_construction((A, IntMatrix2(-1, 3, 0, 1), A))
+        assert report.extends_ok == (True, False, True)
+
     def test_tampered_matrix_fails(self):
         mats = [IntMatrix2(-1, 2, 0, 1), IntMatrix2(-1, -2, 0, 1), IntMatrix2(-1, 1, 0, 1)]
         report = verify_v221_construction(mats)
@@ -360,6 +372,19 @@ class TestBoundaryHomologyIdentity:
         assert alpha_image == (-1, -1, -1, 0)  # the outer class itself
         assert _induced_outer_action(mats) == IntMatrix2(-1, 0, 0, 1)
         assert verify_v221_construction(mats).passed
+
+    def test_fiber_flip_exactly_when_euler_number_vanishes(self):
+        # The fiber-reversing members induce [[-1, -sum 2m/l], [0, 1]]: the
+        # fiber flip exactly when the slopes' m/l sum to 0, checked here
+        # against an exact Fraction sum on every ordered triple.
+        slopes = [FillingSlope(1, 2)] + [FillingSlope(x, 1) for x in range(-6, 7)]
+        reversing = dict(zip(slopes, fiber_sign_members(-1, slopes)))
+        triples = list(itertools.product(slopes, repeat=3))
+        assert len(triples) == 2744
+        for triple in triples:
+            induced = _induced_outer_action([reversing[s] for s in triple])
+            vanishes = sum(Fraction(s.m, s.l) for s in triple) == 0
+            assert (induced == IntMatrix2(-1, 0, 0, 1)) == vanishes, triple
 
     def test_identity_actions_fix_everything(self):
         assert _induced_outer_action([IDENTITY] * 3) == IDENTITY
