@@ -4,7 +4,8 @@ A descriptor with orientable base admits one exactly when its Euler number
 vanishes, every exceptional fiber has order two, there are evenly many of
 them, and the obstruction term equals -n/2.  Admissible descriptors fall
 into seven cases keyed on (genus, n), split primarily by the sign of the
-orbifold Euler characteristic.
+orbifold Euler characteristic.  The module also holds the refusal of an
+inadmissible descriptor that ``census`` and ``psi-check`` share.
 """
 
 from __future__ import annotations
@@ -116,6 +117,28 @@ def check_admissible(M: SeifertInvariants) -> AdmissibilityReport:
         return AdmissibilityReport(False, violations, None, GeometryType.OTHER, N, e, chi)
     label, geom = _case_and_geometry(N.base.genus, bool(N.pairs), chi.numerator)
     return AdmissibilityReport(True, violations, label, geom, N, e, chi)
+
+
+# The longest descriptor text a refusal echoes whole; a longer one is echoed
+# as its first and last characters and its length.
+ECHO_MAX = 200
+
+
+def _require_admissible(M: SeifertInvariants) -> AdmissibilityReport:
+    """Refuse ``M`` unless it is admissible, naming every violation; return
+    its admissibility report.
+
+    The refusal echoes ``M``, shortened past ``ECHO_MAX`` characters, so a
+    descriptor of many fibers gives a short message that still names every
+    violation."""
+    report = check_admissible(M)
+    if not report.admissible:
+        text = str(M)
+        if len(text) > ECHO_MAX:
+            text = f"{text[:120]}...{text[-40:]} ({len(text)} characters)"
+        tags = ", ".join(v.value for v in report.violations)
+        raise ValueError(f"{text} admits no reversing involution ({tags})")
+    return report
 
 
 # Largest window enumerate_admissible accepts: 51 genera times 51 even fiber

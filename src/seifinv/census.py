@@ -3,19 +3,17 @@
 Every such involution of an admissible non-product manifold factors as the
 base-trivial fiber flip composed with a fiber-preserving, orientation-
 preserving involution, so counting reduces to the conjugacy cases of the
-orientation-preserving factor acting on the marked base sphere.  The fiber
-flip is the product involution extended across V(2,2;-1) blocks, so psi-check
-reads the one validator of that data, ``filling.verify_v221_construction``.
-The module also lifts non-orientable-base descriptors to the orientable-base
-double cover.
+orientation-preserving factor acting on the marked base sphere.  The module
+also lifts non-orientable-base descriptors to the orientable-base double
+cover.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import _Checked, _require, filling, surfaces
-from .admissibility import AdmissibilityReport, check_admissible
+from . import _Checked, _require, surfaces
+from .admissibility import AdmissibilityReport, _require_admissible, check_admissible
 from .invariants import BaseSurface, Rational, SeifertInvariants, _e_and_chi
 
 __all__ = [
@@ -24,7 +22,6 @@ __all__ = [
     "DoubleCoverReport",
     "FactorizationRecord",
     "enumerate_factorizations",
-    "fiber_flip_conjugacy_check",
     "lift_to_double_cover",
 ]
 
@@ -77,31 +74,6 @@ class CensusReport(NamedTuple):
         return len(self.records)
 
 
-# The longest descriptor text a refusal echoes whole; a longer one is echoed
-# as its first and last characters and its length.
-ECHO_MAX = 200
-
-
-def _require_admissible(
-    M: SeifertInvariants, report: AdmissibilityReport | None = None
-) -> AdmissibilityReport:
-    """Refuse ``M`` unless it is admissible, naming every violation; return
-    its admissibility report (``report``, when the caller has it already).
-
-    The refusal echoes ``M``, shortened past ``ECHO_MAX`` characters, so a
-    descriptor of many fibers gives a short message that still names every
-    violation."""
-    if report is None:
-        report = check_admissible(M)
-    if not report.admissible:
-        text = str(M)
-        if len(text) > ECHO_MAX:
-            text = f"{text[:120]}...{text[-40:]} ({len(text)} characters)"
-        tags = ", ".join(v.value for v in report.violations)
-        raise ValueError(f"{text} admits no reversing involution ({tags})")
-    return report
-
-
 def enumerate_factorizations(M: SeifertInvariants) -> CensusReport:
     """Conjugacy cases of reversing involutions for an admissible genus-0 base.
 
@@ -134,21 +106,6 @@ def enumerate_factorizations(M: SeifertInvariants) -> CensusReport:
         for fixed in (0, 2)
     )
     return CensusReport(N, records)
-
-
-def fiber_flip_conjugacy_check(
-    M: SeifertInvariants, report: AdmissibilityReport | None = None
-) -> bool:
-    """Validate the fiber-flip data of ``M``; inadmissible input is refused
-    with its violations named.
-
-    Every V(2,2;-1) block of the base-trivial fiber flip carries the same
-    boundary data, so the verdict is one run of the V(2,2;-1) validator.  A
-    caller that already holds ``check_admissible(M)`` passes it as
-    ``report``, and admissibility is not decided a second time.
-    """
-    _require_admissible(M, report)
-    return filling.verify_v221_construction().passed
 
 
 class DoubleCoverReport(NamedTuple):

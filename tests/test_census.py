@@ -1,29 +1,23 @@
 import random
-from functools import partial
 
 import pytest
 
 from seifinv import (
     CensusScopeError,
-    IntMatrix2,
     InvolutionKind,
     check_admissible,
     enumerate_factorizations,
     euler_number,
-    fiber_flip_conjugacy_check,
-    filling,
     lift_to_double_cover,
     normalize,
     orbifold_euler_characteristic,
     parse_seifert,
     print_seifert,
-    verify_v221_construction,
 )
 from seifinv.cli import run
-from util import M, coprime_pair, v221_unit_tampers
+from util import M, coprime_pair
 
 FLAT = parse_seifert("(0,o1|(2,1),(2,1),(2,1),(2,1),(1,-2))")
-EIGHT = parse_seifert("(0,o1|" + "(2,1)," * 8 + "(1,-4))")
 
 
 class TestEnumerateFactorizations:
@@ -70,33 +64,6 @@ class TestEnumerateFactorizations:
     def test_rejects_larger_marked_sets(self):
         with pytest.raises(CensusScopeError):
             enumerate_factorizations(M(0, [(2, 1)] * 6, -3))
-
-
-class TestFiberFlipConjugacy:
-    def test_flat_manifold_passes(self):
-        assert fiber_flip_conjugacy_check(FLAT)
-        assert fiber_flip_conjugacy_check(FLAT, check_admissible(FLAT))
-
-    def test_inadmissible_refused(self):
-        bad = M(0, [(2, 1), (2, 1)])
-        with pytest.raises(ValueError, match=r"admits no reversing involution \(NonzeroEuler, WrongBTerm\)$"):
-            fiber_flip_conjugacy_check(bad)
-
-    # psi-check reads its verdict from the one V(2,2;-1) validator: bound to
-    # tampered data, it must fail.
-    def test_tampered_descriptor_fails(self, monkeypatch):
-        bad = (IntMatrix2(-1, 2, 0, 1), IntMatrix2(-1, -2, 0, 1), IntMatrix2(-1, 1, 0, 1))
-        monkeypatch.setattr(filling, "verify_v221_construction", partial(verify_v221_construction, bad))
-        assert not fiber_flip_conjugacy_check(FLAT)
-
-    @pytest.mark.parametrize("manifold", [FLAT, EIGHT], ids=["4-fiber", "8-fiber"])
-    def test_every_unit_tamper_fails(self, manifold, monkeypatch):
-        tampers = list(v221_unit_tampers())
-        assert len(tampers) == 32
-        for inner, outer in tampers:
-            validator = partial(verify_v221_construction, inner, outer)
-            monkeypatch.setattr(filling, "verify_v221_construction", validator)
-            assert not fiber_flip_conjugacy_check(manifold)
 
 
 class TestRefusalEcho:

@@ -9,7 +9,7 @@ import pytest
 
 from seifinv import admissibility, census, cli, filling, invariants, surfaces, torus_mcg
 from seifinv.cli import run
-from util import NEEDS_DIGIT_LIMIT, digit_limit, fresh_env
+from util import NEEDS_DIGIT_LIMIT, digit_limit, fresh_env, v221_unit_tampers
 
 
 def payload_of(argv):
@@ -553,6 +553,31 @@ class TestPsiCheck:
         for trials, passed in (("0", True), ("1", False), ("100", False)):
             payload = payload_of(["psi-check", descriptor, "--trials", trials, "--json"])
             assert payload["passed"] is passed, trials
+
+    FLAT = "(0,o1|(2,1),(2,1),(2,1),(2,1),(1,-2))"
+    EIGHT = "(0,o1|" + "(2,1)," * 8 + "(1,-4))"
+
+    # psi-check reads its verdict from the one V(2,2;-1) validator: bound to
+    # tampered data, it must fail at any positive trial count.
+    @pytest.mark.parametrize("descriptor", [FLAT, EIGHT], ids=["4-fiber", "8-fiber"])
+    def test_every_unit_tamper_fails(self, descriptor, monkeypatch):
+        tampers = list(v221_unit_tampers())
+        assert len(tampers) == 32
+        original = filling.verify_v221_construction
+        for inner, outer in tampers:
+            monkeypatch.setattr(filling, "verify_v221_construction", partial(original, inner, outer))
+            assert run(["psi-check", descriptor]).message == "passed: false (trials=100, seed=0)"
+            zero = run(["psi-check", descriptor, "--trials", "0"]).message
+            assert zero == "passed: true (trials=0, seed=0)"
+
+    def test_the_validator_runs_once_at_any_trial_count(self, monkeypatch):
+        calls = []
+        original = filling.verify_v221_construction
+        monkeypatch.setattr(filling, "verify_v221_construction", lambda: calls.append(1) or original())
+        for trials in ("0", "1", "100"):
+            calls.clear()
+            assert run(["psi-check", self.FLAT, "--trials", trials]).exit_code == 0
+            assert len(calls) == 1, trials
 
 
 class TestModuleEntryPoint:

@@ -33,7 +33,7 @@ PUBLIC = [
     "InvolutionClassLabel", "InvolutionKind", "SeifertInvariants", "SeifertParseError",
     "SurfaceInvolutionClass", "UnsupportedSlopeError", "Violation", "check_admissible",
     "classes_for_genus", "enumerate_admissible", "enumerate_factorizations",
-    "euler_number", "extension_condition", "fiber_flip_conjugacy_check", "find_conjugator",
+    "euler_number", "extension_condition", "find_conjugator",
     "fixed_point_data", "involution_class", "is_involution", "lift_to_double_cover", "mat_det",
     "mat_mul", "normalize", "orbifold_euler_characteristic", "parse_seifert", "print_seifert",
     "verify_v221_construction",
@@ -78,10 +78,22 @@ def test_importing_the_cli_executes_no_layer(statement):
         ),
         (
             ["psi-check", "(0,o1|(2,1),(2,1),(1,-1))"],
-            ["admissibility", "census", "filling", "invariants", "torus_mcg"],
+            ["admissibility", "filling", "invariants", "torus_mcg"],
         ),
+        (
+            ["admissible", "(0,o1|(3,1),(3,1),(3,1),(1,-1))", "--json"],
+            ["admissibility", "invariants"],
+        ),
+        (["enumerate", "--gmax", "3", "--nmax", "8"], ["admissibility", "invariants"]),
+        (["mcg", "conjugate", "1,0;-1,-1", "0,1;1,0", "--bound", "3"], ["torus_mcg"]),
+        (["extend", "--slope", "1,2", "--matrix=-1,1;0,1"], ["filling", "torus_mcg"]),
+        (["verify-v221"], ["filling", "torus_mcg"]),
+        (["surface-classes", "--genus", "2", "--filter", "reversing"], ["surfaces"]),
     ],
-    ids=["mcg-class", "classify", "lift", "census", "psi-check"],
+    ids=[
+        "mcg-class", "classify", "lift", "census", "psi-check",
+        "admissible", "enumerate", "mcg-conjugate", "extend", "verify-v221", "surface-classes",
+    ],
 )
 def test_a_command_executes_only_the_layers_it_reads(argv, layers):
     code = f"import seifinv.cli\nassert seifinv.cli.run({argv!r}).exit_code == 0\n"

@@ -33,7 +33,7 @@ LAYERS_USED = {
     "surface-classes": {"surfaces"},
     "census": {"invariants", "admissibility", "census"},
     "lift": {"invariants", "admissibility", "census"},
-    "psi-check": {"invariants", "admissibility", "census", "filling"},
+    "psi-check": {"invariants", "admissibility", "filling"},
 }
 
 
