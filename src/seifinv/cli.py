@@ -6,11 +6,14 @@ its arguments as ``(flag, add_argument keywords)`` pairs and the module in
 is a group, and its arguments are its own table.  Every leaf command also
 takes ``--json``.  ``run`` builds the argparse tree from the table on each
 call, one parser per command, so the choice lists, usage lines, help and
-errors are argparse's own.  A command's own arguments, and a group's
-sub-table, are built on demand: the subcommand action ``_Commands`` adds them
-only to the parser of the command being parsed.  The tree is not kept
-between calls yet: the benchmark runner keeps one sample per request, so the
-throughput of a kept tree breaks its memory bound (ROADMAP items 1 and 2).
+errors are argparse's own.  A command's ``-h``, its own arguments and a
+group's sub-table are built on demand: each subparser is made with
+``add_help=False``, and the subcommand action ``_Commands`` adds ``-h`` as
+argparse would, then the rest, only to the parser of the command being
+parsed.  The tree is not kept between calls yet: the benchmark runner keeps
+one sample per request, so its memory grows with throughput, and a kept tree
+raised ``query-mix`` peak RSS by 46 % (building only the chosen subparser,
+by 9-13 %), against a 10 % bound (ROADMAP items 1 and 2).
 ``run`` then imports the module of the command it parsed, and ``_finish``
 renders the handler's text lines or, with ``--json``, its payload.  A
 process thus compiles the one handler it runs.  ``json_render.indented``
@@ -30,6 +33,7 @@ import argparse
 import importlib
 import os
 import sys
+from gettext import gettext
 from typing import NamedTuple
 
 __all__ = ["CommandResult", "main", "run"]
@@ -84,13 +88,18 @@ COMMANDS = (
 
 
 class _Commands(argparse._SubParsersAction):
-    """A subcommand action that adds the parsed command's own arguments, or
-    a group's sub-table, to its parser just before that parser parses."""
+    """A subcommand action that adds the parsed command's ``-h``, then its own
+    arguments or a group's sub-table, to its parser just before that parser
+    parses.  ``-h`` comes first and is the call ``add_help=True`` makes, so
+    usage lines, help and errors keep argparse's bytes and option order;
+    the commands not parsed get no arguments at all."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         name = values[0]  # argparse has checked it against the choices
         arguments, module = self.rows[name]
         chosen = self._name_parser_map[name]
+        chosen.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
+                            help=gettext("show this help message and exit"))
         if module is None:
             _add_commands(chosen, f"{name}_command", arguments)
         else:
@@ -105,7 +114,7 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str, table) -> None:
     sub = parser.add_subparsers(dest=dest, required=True, action=_Commands)
     sub.rows = {}
     for name, help, arguments, module in table:
-        sub.add_parser(name, help=help)
+        sub.add_parser(name, help=help, add_help=False)
         sub.rows[name] = (arguments, module)
 
 

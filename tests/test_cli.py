@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -112,6 +113,21 @@ class TestComputedIntegerDigitLimit:
         assert (result.status, result.exit_code) == ("error", 1)
         assert result.message == f"cannot print {name}: integer longer than {LIMIT} digits"
 
+    def test_lcm_past_the_limit_prints_when_the_values_do(self):
+        """The digit limit is checked on the printed values, not on L: with
+        A = 10**999 + 7, the orders A(A+1), (A+1)(A+2), (A+2)(A+3),
+        (A+3)(A+4) and A+4, each with p = 1, telescope to sum(1/q) = 1/A,
+        while L = lcm(q_i) has 16,591 bits, past the 14,284 of LIMIT digits."""
+        A = 10**999 + 7
+        orders = [A * (A + 1), (A + 1) * (A + 2), (A + 2) * (A + 3), (A + 3) * (A + 4), A + 4]
+        assert math.lcm(*orders).bit_length() == 16591 > LIMIT * math.log2(10)
+        pairs = ",".join(f"({q},1)" for q in orders)
+        classify = run(["classify", f"(0,o1|{pairs})"])
+        assert (classify.status, classify.exit_code) == ("ok", 0)
+        assert classify.message.endswith(f"  e=-1/{A}  chi_orb={1 - 3 * A}/{A}  geometry=Other  case=-")
+        lift = payload_of(["lift", f"(1,n1|{pairs})", "--json"])
+        assert lift["euler_number"] == {"input": f"-1/{A}", "cover": f"-2/{A}", "doubled": True}
+
 
 @NEEDS_DIGIT_LIMIT
 @pytest.mark.usefixtures("default_limit")
@@ -222,10 +238,10 @@ def _leaves(table, path=()):
 
 
 class TestArgumentsAddedOnDemand:
-    """A run builds a parser for every command, but adds arguments only to
-    the command it parses: the leaf's own arguments and ``--json``, besides
-    each parser's ``-h``.  That is 11 parsers for a top-level command and 13
-    for an ``mcg`` one."""
+    """A run builds a parser for every command, 11 for a top-level command and
+    13 for an ``mcg`` one, but adds arguments only to the parsers on the path
+    of the command it parses: ``-h`` to each of them, first, then the leaf's
+    own arguments and ``--json``.  Every subparser not chosen has no actions."""
 
     DESCRIPTOR = "(0,o1|(2,1),(2,1),(2,1),(2,1),(1,-2))"
     ARGS = {
@@ -244,19 +260,30 @@ class TestArgumentsAddedOnDemand:
 
     @pytest.mark.parametrize("path, dests", list(_leaves(cli.COMMANDS)), ids=" ".join)
     def test_adds_only_the_parsed_commands_arguments(self, path, dests, monkeypatch):
-        parsers = 11 if len(path) == 1 else 13
-        added = []
+        built, added = [], []
+        init = argparse.ArgumentParser.__init__
         add_argument = argparse.ArgumentParser.add_argument
 
-        def spied(self, *args, **kwargs):
+        def spied_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def spied_add_argument(self, *args, **kwargs):
             action = add_argument(self, *args, **kwargs)
             added.append(action.dest)
             return action
 
-        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spied)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spied_init)
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spied_add_argument)
         assert run([*path, *self.ARGS[path]]).exit_code == 0
-        # Every parser adds its own -h; so "help" counts the parsers built.
-        assert Counter(added) == Counter({"help": parsers, "json": 1, **dict.fromkeys(dests, 1)})
+        assert len(built) == (11 if len(path) == 1 else 13)
+        on_path = {" ".join(["seifinv", *path[:i]]) for i in range(len(path) + 1)}
+        assert Counter(added) == Counter({"help": len(on_path), "json": 1, **dict.fromkeys(dests, 1)})
+        for parser in built:
+            if parser.prog in on_path:
+                assert parser._actions[0].dest == "help"
+            else:
+                assert parser._actions == []
 
 
 class TestUsageErrors:
