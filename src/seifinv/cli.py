@@ -12,8 +12,9 @@ group's sub-table are built on demand: each subparser is made with
 argparse would, then the rest, only to the parser of the command being
 parsed.  The tree is not kept between calls yet: the benchmark runner keeps
 one sample per request, so its memory grows with throughput, and a kept tree
-raised ``query-mix`` peak RSS by 46 % (building only the chosen subparser,
-by 9-13 %), against a 10 % bound (ROADMAP items 1 and 2).
+raised ``query-mix`` peak RSS by about 40 % (building only the chosen
+subparser, by 7-10 %), against a 10 % bound (``BENCH_30.json``, ROADMAP
+items 1 and 2).
 ``run`` then imports the module of the command it parsed, and ``_finish``
 renders the handler's text lines or, with ``--json``, its payload.  A
 process thus compiles the one handler it runs.  ``json_render.indented``
