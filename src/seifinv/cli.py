@@ -109,6 +109,16 @@ class _Commands(argparse._SubParsersAction):
             chosen.add_argument("--json", action="store_true")
             chosen.set_defaults(module=module)
         super().__call__(parser, namespace, values, option_string)
+        # Before 3.13, argparse reads `--opt=--` as an empty list and skips
+        # the option's type and choices; convert the "--" as 3.13 does.
+        for action in chosen._actions:
+            if action.nargs is None and getattr(namespace, action.dest, None) == []:
+                try:
+                    value = chosen._get_value(action, "--")
+                    chosen._check_value(action, value)
+                except argparse.ArgumentError as exc:
+                    chosen.error(str(exc))
+                setattr(namespace, action.dest, value)
 
 
 def _add_commands(parser: argparse.ArgumentParser, dest: str, table) -> None:

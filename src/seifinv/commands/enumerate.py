@@ -15,7 +15,9 @@ def handle(args):
     record and no ``Rational``: moving the fibers to another base moves
     ``chi_orb`` by the change in chi(base), so with the count's ``chi_orb``
     = n/d the row's sign is that of the int n + (chi(base) - chi(first))*d,
-    which it hands to the case rule ``check_admissible`` uses.
+    which it hands to the case rule ``check_admissible`` uses.  Every count
+    of the window, n pairs (2,1) with b = -n/2, is admissible, so every row
+    takes its case from that rule.
     """
     bases, fibers = admissibility._window(args.gmax, args.nmax)
     first = bases[0].euler_characteristic()
@@ -29,9 +31,7 @@ def handle(args):
     for base in bases:
         head, genus, chi = invariants._print_head(base), base.genus, base.euler_characteristic()
         for report, body, fibered, d, offset in counts:
-            case, geometry = report.case_label, report.geometry
-            if report.admissible:
-                case, geometry = admissibility._case_and_geometry(genus, fibered, chi * d + offset)
+            case, geometry = admissibility._case_and_geometry(genus, fibered, chi * d + offset)
             rows.append({"descriptor": head + body, "case": case, "geometry": geometry.value})
     lines = [f"{r['descriptor']}  case={r['case']}  geometry={r['geometry']}" for r in rows]
     return {"gmax": args.gmax, "nmax": args.nmax, "descriptors": rows}, lines

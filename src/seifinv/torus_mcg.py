@@ -9,7 +9,6 @@ GL2(Z) split into four conjugacy classes: +-identity, and for determinant
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -100,50 +99,24 @@ def involution_class(A: IntMatrix2) -> InvolutionClassLabel:
 
 
 # Largest entry bound find_conjugator accepts, twice the largest bound the
-# benchmark workloads send.  Its window holds 20,712 matrices, so the cache
-# of windows stays bounded too.
+# benchmark workloads send.  The search walks the (2*bound + 1)**2 first rows
+# of the box, so this caps each call at 4,225 rows.
 MAX_BOUND = 32
-
-
-@lru_cache(maxsize=None)
-def _unimodular_entries(bound: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Every (a, b, c, d) with entries in [-bound, bound] and |ad - bc| = 1,
-    in lexicographic order.
-
-    The first row (a, b) must be coprime.  For a determinant s = +-1 and
-    a != 0, a*d - b*c = s puts c in the residue class -s * b^-1 mod |a|
-    and then fixes d = (s + b*c) / a; for a = 0, b = +-1 fixes c = -s*b
-    and every d works.
-    """
-    rng = range(-bound, bound + 1)
-    out = []
-    for a in rng:
-        m = abs(a)
-        for b in rng:
-            if gcd(a, b) != 1:
-                continue
-            rows = []
-            for s in (1, -1):
-                if a == 0:
-                    rows += [(-s * b, d) for d in rng]
-                    continue
-                first = -s * pow(b, -1, m) % m
-                for c in range(first - (first + bound) // m * m, bound + 1, m):
-                    d = (s + b * c) // a
-                    if abs(d) <= bound:
-                        rows.append((c, d))
-            out += [(a, b, c, d) for c, d in sorted(rows)]
-    return tuple(out)
 
 
 def find_conjugator(A: IntMatrix2, B: IntMatrix2, bound: int) -> IntMatrix2 | None:
     """Search for H in GL2(Z), entries in [-bound, bound], with H A H^{-1} = B.
 
-    Returns the identity immediately when A == B; otherwise scans candidates
-    in lexicographic entry order and returns the first hit, or ``None`` when
-    the window is exhausted.  Absence within the window is a value, not an
-    error.  ``bound`` runs from 1 to ``MAX_BOUND`` (32); any other bound is
-    refused with ``ValueError``.
+    Returns the identity immediately when A == B, and ``None`` when A and B
+    differ in trace or determinant, or A = +-I, since conjugates share both
+    and a scalar is conjugate only to itself.  Otherwise walks the first row
+    (a, b) of H in lexicographic order: the first row of H A = B H reads
+    b2 * (c, d) = (a, b)(A - a2 I), which fixes (c, d) when b2 != 0 and
+    otherwise asks (a, b)(A - a2 I) = 0 of a coprime (a, b), whose (c, d)
+    are then tried in order.  So the first hit is the first H of the box in
+    lexicographic entry order; ``None`` when there is none is a value, not
+    an error.  ``bound`` runs from 1 to ``MAX_BOUND`` (32); any other bound
+    is refused with ``ValueError``.
     """
     _require(A, IntMatrix2, "matrix")
     _require(B, IntMatrix2, "matrix")
@@ -155,16 +128,30 @@ def find_conjugator(A: IntMatrix2, B: IntMatrix2, bound: int) -> IntMatrix2 | No
         raise ValueError("conjugacy search requires |det| = 1 on both sides")
     if A == B:
         return IDENTITY
-    # Entries unpacked once: local names are read faster than the fields.
     a1, b1, c1, d1 = A
     a2, b2, c2, d2 = B
-    for a, b, c, d in _unimodular_entries(bound):
-        # H A == B H avoids forming the inverse in the inner loop.
-        if (
-            a * a1 + b * c1 == a2 * a + b2 * c
-            and a * b1 + b * d1 == a2 * b + b2 * d
-            and c * a1 + d * c1 == c2 * a + d2 * c
-            and c * b1 + d * d1 == c2 * b + d2 * d
-        ):
-            return IntMatrix2(a, b, c, d)
+    if a1 + d1 != a2 + d2 or mat_det(A) != mat_det(B) or A in (IDENTITY, _MINUS_IDENTITY):
+        return None
+    rng = range(-bound, bound + 1)
+    for a in rng:
+        for b in rng:
+            x, y = a * (a1 - a2) + b * c1, a * b1 + b * (d1 - a2)
+            if b2:
+                if x % b2 or y % b2:
+                    continue
+                rows = ((x // b2, y // b2),)
+            elif x or y or gcd(a, b) != 1:
+                continue
+            else:
+                rows = ((c, d) for c in rng for d in rng)
+            for c, d in rows:
+                # The second row of H A = B H: (c, d)(A - d2 I) = c2 * (a, b).
+                if (
+                    abs(c) <= bound
+                    and abs(d) <= bound
+                    and abs(a * d - b * c) == 1
+                    and c * (a1 - d2) + d * c1 == c2 * a
+                    and c * b1 + d * (d1 - d2) == c2 * b
+                ):
+                    return IntMatrix2(a, b, c, d)
     return None

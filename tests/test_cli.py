@@ -228,13 +228,19 @@ class TestInvariantsDerivedOnce:
         return calls
 
 
-def _leaves(table, path=()):
-    """(command path, dests of its own arguments) for every leaf of the table."""
+def _leaf_rows(table, path=()):
+    """(command path, its own arguments) for every leaf of the table."""
     for name, _, arguments, module in table:
         if module is None:
-            yield from _leaves(arguments, (*path, name))
+            yield from _leaf_rows(arguments, (*path, name))
         else:
-            yield (*path, name), [flag.lstrip("-").replace("-", "_") for flag, _ in arguments]
+            yield (*path, name), arguments
+
+
+def _leaves(table):
+    """(command path, dests of its own arguments) for every leaf of the table."""
+    for path, arguments in _leaf_rows(table):
+        yield path, [flag.lstrip("-").replace("-", "_") for flag, _ in arguments]
 
 
 class TestArgumentsAddedOnDemand:
@@ -295,6 +301,25 @@ class TestUsageErrors:
 
     def test_no_arguments(self):
         assert run([]).exit_code == 2
+
+    LEAVES = dict(_leaf_rows(cli.COMMANDS))
+
+    @pytest.mark.parametrize("path", LEAVES, ids=" ".join)
+    def test_every_option_answers_or_refuses_every_odd_value(self, path, capsys):
+        # Before 3.13, argparse stored `--opt=--` as [] past the option's type
+        # and choices, and the handlers raised on it.  Each of these values
+        # must get an answer or a refusal that shows no Python repr.
+        args = TestArgumentsAddedOnDemand.ARGS[path]
+        options = [flag for flag, _ in self.LEAVES[path] if flag.startswith("--")]
+        for flag in (*options, "--json"):
+            for value in ("--", "-", "", "="):
+                for tail in ([f"{flag}={value}"], [flag, value]):
+                    argv = [*path, *args, *tail]
+                    result = run(argv)
+                    refusal = result.message + capsys.readouterr().err
+                    assert result.exit_code in (0, 1, 2), argv
+                    if result.exit_code:
+                        assert "[]" not in refusal and "None" not in refusal, (argv, refusal)
 
 
 class TestAdmissible:

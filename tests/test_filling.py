@@ -82,6 +82,7 @@ class TestFillingSlope:
     def test_sign_normalization(self):
         assert FillingSlope(-1, -2) == FillingSlope(1, 2)
         assert FillingSlope(-1, 0) == FillingSlope(1, 0)
+        assert tuple(FillingSlope(1, 0)) == (1, 0)  # m > 0 when l = 0
 
     def test_rejects_non_primitive(self):
         with pytest.raises(ValueError):
@@ -385,6 +386,8 @@ class TestBoundaryHomologyIdentity:
             induced = _induced_outer_action([reversing[s] for s in triple])
             vanishes = sum(Fraction(s.m, s.l) for s in triple) == 0
             assert (induced == IntMatrix2(-1, 0, 0, 1)) == vanishes, triple
+        # Three (1,1) members: m/l sums to 3, so the section goes to -6 t + alpha.
+        assert _induced_outer_action([IntMatrix2(-1, 2, 0, 1)] * 3) == IntMatrix2(-1, -6, 0, 1)
 
     def test_identity_actions_fix_everything(self):
         assert _induced_outer_action([IDENTITY] * 3) == IDENTITY

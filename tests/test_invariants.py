@@ -355,11 +355,18 @@ class TestLcmBound:
         q = 2 ** (MAX_LCM_BITS - 2)
         at = M(0, [(3, 1), (q, 1)])
         assert orbifold_euler_characteristic(at) == 2 - Fraction(2, 3) - 1 + Fraction(1, q)
+        # An odd order of MAX_LCM_BITS bits is L itself: the pass starts at L = 1.
+        odd = 2**MAX_LCM_BITS - 1
+        assert orbifold_euler_characteristic(M(0, [(odd, 1)])) == 1 + Fraction(1, odd)
         past = M(0, [(3, 1), (2 ** (MAX_LCM_BITS - 1), 1)])
         for invariant in (euler_number, orbifold_euler_characteristic, check_admissible):
             with pytest.raises(ValueError) as exc:
                 invariant(past)
             assert str(exc.value) == _past_the_bound(2)
+        # A fiber of order 2 written first is exceptional fiber 1.
+        with pytest.raises(ValueError) as exc:
+            euler_number(M(0, [(2, 1), *past.pairs]))
+        assert str(exc.value) == _past_the_bound(3)
 
     def test_fibers_are_numbered_in_written_order(self):
         # A q = 1 pair before every order and a repeated fiber, written

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -12,7 +13,7 @@ from seifinv import (
     mat_det,
     mat_mul,
 )
-from seifinv.torus_mcg import MAX_BOUND, _unimodular_entries
+from seifinv.torus_mcg import MAX_BOUND
 from util import entry_refusal, inverse
 
 SWAP = IntMatrix2(0, 1, 1, 0)
@@ -189,15 +190,9 @@ class TestFindConjugator:
             find_conjugator(IDENTITY, IDENTITY, MAX_BOUND + 1)
 
 
-@pytest.mark.parametrize("bound", range(1, 9))
-def test_window_is_the_brute_force_window(bound):
-    window = [H for H in window_matrices(bound) if abs(mat_det(H)) == 1]
-    assert _unimodular_entries(bound) == tuple((H.a, H.b, H.c, H.d) for H in window)
-
-
 def divisibility_window(bound):
-    """The unimodular window again, O(bound**3): for each (a, b, c) in it,
-    the d with a*d = b*c +- 1, or every d when a = 0 and b*c = +-1."""
+    """The unimodular window, O(bound**3): for each (a, b, c) in it, the d
+    with a*d = b*c +- 1, or every d when a = 0 and b*c = +-1."""
     rng = range(-bound, bound + 1)
     out = []
     for a in rng:
@@ -211,14 +206,56 @@ def divisibility_window(bound):
     return tuple(out)
 
 
-def test_widest_window_is_the_divisibility_window():
-    widest = _unimodular_entries(MAX_BOUND)
-    assert len(widest) == 20712
-    assert widest == divisibility_window(MAX_BOUND)
+def test_the_divisibility_window_is_the_brute_force_window():
+    for bound in (1, 2, 3):
+        window = [H for H in window_matrices(bound) if abs(mat_det(H)) == 1]
+        assert divisibility_window(bound) == tuple(window)
 
 
-def test_every_window_is_the_widest_window_cut_down():
-    widest = _unimodular_entries(MAX_BOUND)
-    for bound in range(1, MAX_BOUND):
-        cut = tuple(H for H in widest if max(map(abs, H)) <= bound)
-        assert _unimodular_entries(bound) == cut, bound
+def conjugator_pairs(rng, window):
+    """Seeded (A, B) pairs: conjugates H A H^-1 planted with an H of
+    ``window``, pairs drawn at random (most differ in trace or determinant),
+    and the fixed corner cases."""
+    small = [A for A in window_matrices(2) if abs(mat_det(A)) == 1]
+    pairs = [
+        (IntMatrix2(1, 0, 0, -1), SWAP),  # reflection vs swap: never conjugate
+        (IntMatrix2(-1, 0, 0, 1), IntMatrix2(1, 0, 1, -1)),  # b2 = 0, A - d2 I singular
+        (IntMatrix2(1, 0, 1, -1), IntMatrix2(-1, 0, 0, 1)),
+        (IDENTITY, IntMatrix2(1, 0, 1, 1)),  # +-I against a unipotent matrix
+        (IntMatrix2(1, 0, 1, 1), IDENTITY),
+        (MINUS_I, IntMatrix2(-1, 0, 2, -1)),
+        (IntMatrix2(-1, 2, 0, -1), MINUS_I),
+        (SWAP, SWAP),
+        (IntMatrix2(2, 1, 1, 1), IntMatrix2(2, 1, 1, 1)),
+    ]
+    for _ in range(3):
+        A, H = rng.choice(small), IntMatrix2(*rng.choice(window))
+        pairs.append((A, mat_mul(mat_mul(H, A), inverse(H))))
+        pairs.append((rng.choice(small), rng.choice(small)))
+    return pairs
+
+
+def first_hit(window, A, B):
+    """The first H of ``window`` with H A == B H, or ``None``."""
+    a1, b1, c1, d1 = A
+    a2, b2, c2, d2 = B
+    for a, b, c, d in window:
+        if (
+            a * a1 + b * c1 == a2 * a + b2 * c
+            and a * b1 + b * d1 == a2 * b + b2 * d
+            and c * a1 + d * c1 == c2 * a + d2 * c
+            and c * b1 + d * d1 == c2 * b + d2 * d
+        ):
+            return IntMatrix2(a, b, c, d)
+    return None
+
+
+def test_first_hit_is_the_divisibility_window_first_hit():
+    rng = random.Random(31)
+    # Each window is the widest one cut down: same matrices, same order.
+    widest = [(max(map(abs, H)), H) for H in divisibility_window(MAX_BOUND)]
+    for bound in range(1, MAX_BOUND + 1):
+        window = [H for size, H in widest if size <= bound]
+        for A, B in conjugator_pairs(rng, window):
+            expected = IDENTITY if A == B else first_hit(window, A, B)
+            assert find_conjugator(A, B, bound) == expected, (A, B, bound)
