@@ -1,7 +1,5 @@
 """``seifinv admissible``: does a descriptor admit a reversing involution."""
 
-from __future__ import annotations
-
 from .. import admissibility, invariants
 
 

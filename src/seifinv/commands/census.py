@@ -1,7 +1,5 @@
 """``seifinv census``: the reversing involutions of a descriptor up to conjugacy."""
 
-from __future__ import annotations
-
 from .. import census, invariants
 
 

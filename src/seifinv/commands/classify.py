@@ -1,7 +1,5 @@
 """``seifinv classify``: invariants, geometry and case of a descriptor."""
 
-from __future__ import annotations
-
 from .. import admissibility, invariants
 from . import printed
 

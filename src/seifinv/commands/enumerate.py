@@ -1,7 +1,5 @@
 """``seifinv enumerate``: the admissible descriptors in a bounded window."""
 
-from __future__ import annotations
-
 from .. import admissibility, invariants
 
 
@@ -26,11 +24,11 @@ def handle(args):
         report = admissibility.check_admissible(M)
         d = report.chi_orb.denominator
         offset = report.chi_orb.numerator - first * d
-        counts.append((report, invariants._print_body(M), bool(report.normalized.pairs), d, offset))
+        counts.append((invariants._print_body(M), bool(report.normalized.pairs), d, offset))
     rows = []
     for base in bases:
         head, genus, chi = invariants._print_head(base), base.genus, base.euler_characteristic()
-        for report, body, fibered, d, offset in counts:
+        for body, fibered, d, offset in counts:
             case, geometry = admissibility._case_and_geometry(genus, fibered, chi * d + offset)
             rows.append({"descriptor": head + body, "case": case, "geometry": geometry.value})
     lines = [f"{r['descriptor']}  case={r['case']}  geometry={r['geometry']}" for r in rows]

@@ -1,7 +1,5 @@
 """``seifinv extend``: does a boundary action extend across a Dehn filling."""
 
-from __future__ import annotations
-
 from .. import filling
 from . import integer, parse_matrix, printed
 

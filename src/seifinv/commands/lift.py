@@ -1,7 +1,5 @@
 """``seifinv lift``: the orientable-base double cover of an n1 descriptor."""
 
-from __future__ import annotations
-
 from .. import census, invariants
 from . import printed
 

@@ -1,7 +1,5 @@
 """``seifinv mcg class``: the conjugacy class of a torus involution."""
 
-from __future__ import annotations
-
 from .. import torus_mcg
 from . import parse_matrix
 

@@ -1,7 +1,5 @@
 """``seifinv mcg conjugate``: a conjugator with entries in a bounded window."""
 
-from __future__ import annotations
-
 from .. import torus_mcg
 from . import parse_matrix
 

@@ -1,8 +1,6 @@
 """``seifinv psi-check``: refuse an inadmissible descriptor, else validate the
 V(2,2;-1) fiber-flip data once; ``--trials 0`` passes vacuously."""
 
-from __future__ import annotations
-
 from .. import admissibility, filling, invariants
 
 

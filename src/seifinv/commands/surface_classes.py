@@ -1,7 +1,5 @@
 """``seifinv surface-classes``: the involution classes of a closed surface."""
 
-from __future__ import annotations
-
 from .. import surfaces
 
 

@@ -1,7 +1,5 @@
 """``seifinv verify-v221``: the V(2,2;-1) involution boundary data."""
 
-from __future__ import annotations
-
 from .. import filling
 
 

@@ -397,11 +397,12 @@ class Rational:
 MAX_LCM_BITS = 1 << 16
 
 
-def _tally_sums(M: SeifertInvariants) -> tuple[int, int, int]:
-    """(L, sum of count*p*(L/q), sum of count*(L - L/q)) over ``M.tally``,
-    with L = lcm(q_i), in one pass: whenever a pair's q grows L, the sums
-    taken so far are scaled up with it.  ``_e_and_chi`` is its one caller.
+def _e_and_chi(M: SeifertInvariants) -> tuple[Rational, Rational]:
+    """(``euler_number(M)``, ``orbifold_euler_characteristic(M)``) from one
+    pass over ``M.tally``, each reduced once: the pass of every caller.
 
+    The pass sums count*p*(L/q) and count*(L - L/q) with L = lcm(q_i):
+    whenever a pair's q grows L, the sums taken so far are scaled up with it.
     A q that takes L past ``MAX_LCM_BITS`` bits stops the pass with a
     ``ValueError`` naming the first exceptional fiber (order q > 1, counted
     in written order, so normalizing keeps the number) at which the lcm of
@@ -426,13 +427,6 @@ def _tally_sums(M: SeifertInvariants) -> tuple[int, int, int]:
         share = L // q
         fibers += count * p * share
         deficit += count * (L - share)
-    return L, fibers, deficit
-
-
-def _e_and_chi(M: SeifertInvariants) -> tuple[Rational, Rational]:
-    """(``euler_number(M)``, ``orbifold_euler_characteristic(M)``) from one
-    ``_tally_sums`` pass, each reduced once: the pass of every caller."""
-    L, fibers, deficit = _tally_sums(M)
     chi = M.base.euler_characteristic() * L - deficit
     return Rational(-(M.b * L + fibers), L), Rational(chi, L)
 

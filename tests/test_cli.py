@@ -164,11 +164,11 @@ class TestEnteredIntegerDigitLimit:
 
 class TestInvariantsDerivedOnce:
     """classify, psi-check and census normalize the descriptor once and take
-    ``e`` and ``chi_orb`` from one ``_tally_sums`` pass, two ``Rational``
+    ``e`` and ``chi_orb`` from one ``_e_and_chi`` pass, two ``Rational``
     values; later steps read the admissibility report."""
 
-    COUNTED = ("normalize", "_tally_sums", "Rational")
-    ONCE = {"normalize": 1, "_tally_sums": 1, "Rational": 2}
+    COUNTED = ("normalize", "_e_and_chi", "Rational")
+    ONCE = {"normalize": 1, "_e_and_chi": 1, "Rational": 2}
 
     @pytest.mark.parametrize(
         "argv",
@@ -217,7 +217,7 @@ class TestInvariantsDerivedOnce:
 
             return counted
 
-        for name in ("normalize", "_tally_sums"):
+        for name in ("normalize", "_e_and_chi"):
             original = getattr(invariants, name)
             for module in (invariants, admissibility, census, cli):
                 if vars(module).get(name) is original:

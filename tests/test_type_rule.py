@@ -8,7 +8,9 @@ through its constructor, ``_replace`` and ``_make``, and to every int
 parameter; a base's ``orientable`` refuses every one that is not a bool.
 The guard below scans the package's modules so that no record converts with
 ``int()`` again, no type check is copied outside the helper, and no record
-builds its own ``_make`` or ``_replace`` beside the shared one.
+builds its own ``_make`` or ``_replace`` beside the shared one.  Two more
+scans keep every import in use: no module imports a name it never reads, and
+only a module with an annotation imports ``annotations`` from ``__future__``.
 """
 
 import ast
@@ -212,3 +214,48 @@ def test_make_and_replace_only_in_the_shared_base():
         if isinstance(node, ast.FunctionDef) and node.name in ("_make", "_replace")
     ]
     assert defined == [("__init__.py", "_make")]
+
+
+def _module_nodes():
+    """(path relative to the package, the nodes of its module) for every
+    module of the package, ``commands/`` included."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield str(path.relative_to(PACKAGE)), list(ast.walk(ast.parse(path.read_text())))
+
+
+def _is_future(node) -> bool:
+    return isinstance(node, ast.ImportFrom) and node.module == "__future__"
+
+
+def test_every_imported_name_is_used():
+    # A name counts as used when the module reads it or lists it in
+    # ``__all__``; ``__future__`` imports are the next test's.
+    unused = []
+    for module, nodes in _module_nodes():
+        used = {node.id for node in nodes if isinstance(node, ast.Name)}
+        for node in nodes:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                used.update(ast.literal_eval(node.value))
+        unused += [
+            (module, alias.asname or alias.name.partition(".")[0])
+            for node in nodes
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not _is_future(node)
+            for alias in node.names
+            if (alias.asname or alias.name.partition(".")[0]) not in used
+        ]
+    assert unused == []
+
+
+def test_future_annotations_only_where_there_are_annotations():
+    needless = [
+        module
+        for module, nodes in _module_nodes()
+        if any(_is_future(node) for node in nodes)
+        and not any(
+            isinstance(node, ast.AnnAssign)
+            or isinstance(node, ast.FunctionDef) and node.returns is not None
+            or isinstance(node, ast.arg) and node.annotation is not None
+            for node in nodes
+        )
+    ]
+    assert needless == []
