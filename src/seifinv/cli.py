@@ -4,17 +4,17 @@
 its arguments as ``(flag, add_argument keywords)`` pairs and the module in
 ``seifinv.commands`` whose ``handle`` runs it; a row whose module is ``None``
 is a group, and its arguments are its own table.  Every leaf command also
-takes ``--json``.  ``run`` builds the argparse tree from the table on each
-call, one parser per command, so the choice lists, usage lines, help and
-errors are argparse's own.  A command's ``-h``, its own arguments and a
-group's sub-table are built on demand: each subparser is made with
-``add_help=False``, and the subcommand action ``_Commands`` adds ``-h`` as
-argparse would, then the rest, only to the parser of the command being
-parsed.  The tree is not kept between calls yet: the benchmark runner keeps
-one sample per request, so its memory grows with throughput, and a kept tree
-raised ``query-mix`` peak RSS by about 40 % (building only the chosen
-subparser, by 7-10 %), against a 10 % bound (``BENCH_30.json``, ROADMAP
-items 1 and 2).
+takes ``--json``.  ``run`` builds argparse's parsers from the table on
+each call, so the choice lists, usage lines, help and errors are argparse's
+own, but only the parsers on the path of the command being parsed: the
+top-level parser names every command, with its help line, and the
+subcommand action ``_Commands`` builds the chosen command's parser, then
+adds its ``-h``, its own arguments or a group's sub-table.  A top-level
+command builds 2 parsers, an ``mcg`` command 3.  The parsers are not kept
+between calls yet: the benchmark runner keeps one sample per request, so
+its memory grows with throughput, and a kept tree raised ``query-mix`` peak
+RSS by about 40 %, against a 10 % bound (``BENCH_30.json``, ROADMAP items 1
+and 2).
 ``run`` then imports the module of the command it parsed, and ``_finish``
 renders the handler's text lines or, with ``--json``, its payload.  A
 process thus compiles the one handler it runs.  ``json_render.indented``
@@ -89,16 +89,21 @@ COMMANDS = (
 
 
 class _Commands(argparse._SubParsersAction):
-    """A subcommand action that adds the parsed command's ``-h``, then its own
-    arguments or a group's sub-table, to its parser just before that parser
-    parses.  ``-h`` comes first and is the call ``add_help=True`` makes, so
-    usage lines, help and errors keep argparse's bytes and option order;
-    the commands not parsed get no arguments at all."""
+    """A subcommand action that builds the parser of the command being
+    parsed, just before it parses.  Until then ``_name_parser_map`` holds
+    each command's table row under its name, so argparse's choices stay the
+    table's names, in order.  The chosen parser is made as ``add_parser``
+    makes it, with ``add_help=False``; ``-h`` is then added first, as the
+    call ``add_help=True`` makes, so usage lines, help and errors keep
+    argparse's bytes and option order.  Then come the command's own
+    arguments and ``--json``, or a group's sub-table."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         name = values[0]  # argparse has checked it against the choices
-        arguments, module = self.rows[name]
-        chosen = self._name_parser_map[name]
+        arguments, module = self._name_parser_map[name]
+        chosen = self._name_parser_map[name] = self._parser_class(
+            prog=f"{self._prog_prefix} {name}", add_help=False
+        )
         chosen.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
                             help=gettext("show this help message and exit"))
         if module is None:
@@ -123,10 +128,9 @@ class _Commands(argparse._SubParsersAction):
 
 def _add_commands(parser: argparse.ArgumentParser, dest: str, table) -> None:
     sub = parser.add_subparsers(dest=dest, required=True, action=_Commands)
-    sub.rows = {}
     for name, help, arguments, module in table:
-        sub.add_parser(name, help=help, add_help=False)
-        sub.rows[name] = (arguments, module)
+        sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), help))
+        sub._name_parser_map[name] = arguments, module
 
 
 def _finish(args, payload: dict, lines: list[str]) -> CommandResult:

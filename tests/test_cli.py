@@ -1,10 +1,12 @@
 import argparse
+import ast
 import json
 import math
 import subprocess
 import sys
 from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -244,10 +246,11 @@ def _leaves(table):
 
 
 class TestArgumentsAddedOnDemand:
-    """A run builds a parser for every command, 11 for a top-level command and
-    13 for an ``mcg`` one, but adds arguments only to the parsers on the path
-    of the command it parses: ``-h`` to each of them, first, then the leaf's
-    own arguments and ``--json``.  Every subparser not chosen has no actions."""
+    """A run builds only the parsers on the path of the command it parses:
+    the top-level parser, then the chosen command's, and for an ``mcg``
+    command the chosen subcommand's.  Each gets ``-h`` first; the leaf gets
+    its own arguments and ``--json``.  The choices are still every command
+    of the table, in order."""
 
     DESCRIPTOR = "(0,o1|(2,1),(2,1),(2,1),(2,1),(1,-2))"
     ARGS = {
@@ -264,8 +267,9 @@ class TestArgumentsAddedOnDemand:
         ("psi-check",): [DESCRIPTOR, "--trials", "1"],
     }
 
-    @pytest.mark.parametrize("path, dests", list(_leaves(cli.COMMANDS)), ids=" ".join)
-    def test_adds_only_the_parsed_commands_arguments(self, path, dests, monkeypatch):
+    @staticmethod
+    def spy(monkeypatch):
+        """The parsers built and the dests added from now on."""
         built, added = [], []
         init = argparse.ArgumentParser.__init__
         add_argument = argparse.ArgumentParser.add_argument
@@ -281,15 +285,60 @@ class TestArgumentsAddedOnDemand:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", spied_init)
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spied_add_argument)
+        return built, added
+
+    @staticmethod
+    def choices(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(action.choices)
+
+    @pytest.mark.parametrize("path, dests", list(_leaves(cli.COMMANDS)), ids=" ".join)
+    def test_adds_only_the_parsed_commands_arguments(self, path, dests, monkeypatch):
+        built, added = self.spy(monkeypatch)
         assert run([*path, *self.ARGS[path]]).exit_code == 0
-        assert len(built) == (11 if len(path) == 1 else 13)
-        on_path = {" ".join(["seifinv", *path[:i]]) for i in range(len(path) + 1)}
+        on_path = [" ".join(["seifinv", *path[:i]]) for i in range(len(path) + 1)]
+        assert [parser.prog for parser in built] == on_path
         assert Counter(added) == Counter({"help": len(on_path), "json": 1, **dict.fromkeys(dests, 1)})
         for parser in built:
-            if parser.prog in on_path:
-                assert parser._actions[0].dest == "help"
-            else:
-                assert parser._actions == []
+            assert parser._actions[0].dest == "help"
+        table = cli.COMMANDS
+        for parser, name in zip(built, path):
+            assert self.choices(parser) == [row[0] for row in table]
+            (table,) = [row[2] for row in table if row[0] == name]
+
+    @pytest.mark.parametrize("argv, progs", [
+        (["--help"], ["seifinv"]),
+        ([], ["seifinv"]),
+        (["bogus"], ["seifinv"]),
+        (["mcg"], ["seifinv", "seifinv mcg"]),
+    ], ids=["--help", "no argv", "bogus", "mcg"])
+    def test_builds_no_parser_it_does_not_parse(self, argv, progs, monkeypatch):
+        built, _ = self.spy(monkeypatch)
+        assert run(argv).exit_code == (0 if argv == ["--help"] else 2)
+        assert [parser.prog for parser in built] == progs
+        assert self.choices(built[0]) == [row[0] for row in cli.COMMANDS]
+
+
+class TestArgparseInternals:
+    """``cli.py`` builds its parsers through these private argparse members.
+    An argparse that renames one fails here, with its name, rather than in a
+    golden diff."""
+
+    SUBPARSERS = ("_ChoicesPseudoAction", "_choices_actions", "_name_parser_map",
+                  "_prog_prefix", "_parser_class")
+    PARSER = ("_actions", "_get_value", "_check_value")
+
+    def test_names_every_private_member_cli_reads(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        private = {name for name in read if name.startswith("_") and not name.endswith("__")}
+        assert private == {"_SubParsersAction", *self.SUBPARSERS, *self.PARSER}
+
+    @pytest.mark.parametrize("member", SUBPARSERS + PARSER)
+    def test_argparse_has_the_member(self, member):
+        parser = argparse.ArgumentParser(prog="seifinv")
+        owner = parser.add_subparsers(action=cli._Commands) if member in self.SUBPARSERS else parser
+        assert hasattr(owner, member), f"argparse has no {member}"
 
 
 class TestUsageErrors:

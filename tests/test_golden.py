@@ -14,6 +14,8 @@ The expected data in ``data/golden_cli.json``, ``data/golden_help.json``
 and ``data/golden_parse.json`` is regenerated with::
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+and replayed without pytest, printing each mismatch, with ``--check``.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ import random
 import re
 import sys
 from pathlib import Path
-
-import pytest
 
 from util import NEEDS_DIGIT_LIMIT, digit_limit
 
@@ -543,10 +543,36 @@ def test_golden_exercises_every_outcome():
         assert f"case={case}" in tags
 
 
+def _check() -> int:
+    """Replay the three golden files as the tests do, print each case whose
+    record differs, expected then actual, and return the number of them."""
+    usage_errors = contextlib.redirect_stderr(io.StringIO())  # argparse writes them there
+    replays = [(GOLDEN, "argv", _record, usage_errors),
+               (HELP_GOLDEN, "argv", _record_main, contextlib.nullcontext())]
+    if hasattr(sys, "set_int_max_str_digits"):
+        replays.append((PARSE_GOLDEN, "text", _record_parse, digit_limit(_PARSE_DIGIT_LIMIT)))
+    else:
+        print(f"{PARSE_GOLDEN.name}: skipped, this Python has no int/str digit limit")
+    mismatched = 0
+    for path, key, record, limit in replays:
+        records = json.loads(path.read_text())
+        with limit:
+            misses = [(rec, got) for rec in records if (got := record(rec[key])) != rec]
+        for rec, got in misses:
+            print(f"{path.name}: {rec[key]!r}")
+            print(f"  expected: {json.dumps(rec)}")
+            print(f"  actual:   {json.dumps(got)}")
+        print(f"{path.name}: {len(misses)} of {len(records)} cases differ")
+        mismatched += len(misses)
+    return mismatched
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    if sys.argv[1:] not in (["--write"], ["--check"]):
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write | --check")
     os.environ["COLUMNS"] = "80"
+    if sys.argv[1] == "--check":
+        sys.exit(1 if _check() else 0)
     GOLDEN.write_text(json.dumps([_record(a) for a in _cases()], indent=1) + "\n")
     HELP_GOLDEN.write_text(json.dumps([_record_main(a) for a in _help_cases()], indent=1) + "\n")
     with digit_limit(_PARSE_DIGIT_LIMIT):
