@@ -8,8 +8,8 @@ takes ``--json``.  ``run`` builds argparse's parsers from the table on
 each call, so the choice lists, usage lines, help and errors are argparse's
 own, but only the parsers on the path of the command being parsed: the
 top-level parser names every command, with its help line, and the
-subcommand action ``_Commands`` builds the chosen command's parser, then
-adds its ``-h``, its own arguments or a group's sub-table.  A top-level
+subcommand action ``_Commands`` builds the chosen command's parser, with
+its ``-h``, then adds its own arguments or a group's sub-table.  A top-level
 command builds 2 parsers, an ``mcg`` command 3.  The parsers are not kept
 between calls yet: the benchmark runner keeps one sample per request, so
 its memory grows with throughput, and a kept tree raised ``query-mix`` peak
@@ -34,7 +34,6 @@ import argparse
 import importlib
 import os
 import sys
-from gettext import gettext
 from typing import NamedTuple
 
 __all__ = ["CommandResult", "main", "run"]
@@ -93,8 +92,7 @@ class _Commands(argparse._SubParsersAction):
     parsed, just before it parses.  Until then ``_name_parser_map`` holds
     each command's table row under its name, so argparse's choices stay the
     table's names, in order.  The chosen parser is made as ``add_parser``
-    makes it, with ``add_help=False``; ``-h`` is then added first, as the
-    call ``add_help=True`` makes, so usage lines, help and errors keep
+    makes it, ``-h`` included, so usage lines, help and errors keep
     argparse's bytes and option order.  Then come the command's own
     arguments and ``--json``, or a group's sub-table."""
 
@@ -102,10 +100,8 @@ class _Commands(argparse._SubParsersAction):
         name = values[0]  # argparse has checked it against the choices
         arguments, module = self._name_parser_map[name]
         chosen = self._name_parser_map[name] = self._parser_class(
-            prog=f"{self._prog_prefix} {name}", add_help=False
+            prog=f"{self._prog_prefix} {name}"
         )
-        chosen.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
-                            help=gettext("show this help message and exit"))
         if module is None:
             _add_commands(chosen, f"{name}_command", arguments)
         else:

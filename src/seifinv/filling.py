@@ -18,8 +18,8 @@ the trivially fibered solid torus with three interior fibers refilled by
 its fillings (slope (m,l) = (p,q) for pair (q,p)) and its inner actions
 (each filling's fiber-reversing member, eps = -1) are derived from them.
 ``verify_v221_construction`` is the one check of that data: every inner
-action is an involution, some assignment of the fillings lets each one
-extend, and the outer action is the fiber flip diag(-1,1) that the inner
+action is an involution, the fillings they extend across are the block's
+fillings, and the outer action is the fiber flip diag(-1,1) that the inner
 actions induce on the outer torus.  The members [[-1, 2m_i/l_i], [0, 1]]
 induce [[-1, -sum 2m_i/l_i], [0, 1]], the fiber flip exactly when
 sum p_i/q_i = 0: the block's Euler number, 1/2 + 1/2 - 1 = 0.
@@ -30,7 +30,6 @@ Framing convention everywhere: column vectors over the ordered basis
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -96,13 +95,16 @@ def extension_condition(filling: FillingSlope) -> frozenset[IntMatrix2]:
 
 
 # V(2,2;-1) as its Seifert pairs (q,p) in printed order, and what they give:
-# the fillings (slope (m,l) = (p,q)), their conditions and the inner actions.
+# the fillings (slope (m,l) = (p,q)), the filling each matrix of their
+# conditions extends across, and the inner actions.  The conditions of
+# distinct slopes are disjoint, since the entry b = -2m/l names the slope:
+# -1 for (1,2), the even -2x for (x,1); so a matrix has at most one filling.
 # The outer action is the fiber flip: fiber reversed, section fixed.
 _V221_PAIRS = ((2, 1), (1, -1), (2, 1))
 _V221_FILLINGS = tuple(FillingSlope(p, q) for q, p in _V221_PAIRS)
-_V221_CONDITIONS = {f: extension_condition(f) for f in _V221_FILLINGS}
+_V221_FILLING_OF = {A: f for f in _V221_FILLINGS for A in extension_condition(f)}
 _V221_INNER_ACTIONS = tuple(
-    next(A for A in _V221_CONDITIONS[f] if A.a == -1) for f in _V221_FILLINGS
+    next(A for A in extension_condition(f) if A.a == -1) for f in _V221_FILLINGS
 )
 _FIBER_FLIP = IntMatrix2(-1, 0, 0, 1)
 
@@ -142,12 +144,12 @@ def verify_v221_construction(
 ) -> ConstructionReport:
     """Check the V(2,2;-1) boundary data, or a candidate replacement.
 
-    Three checks: every inner action is an involution; some assignment of
-    the filling multiset {(1,2), (1,2), (-1,1)} puts each inner action in
-    its extension condition (the assignments are searched, not paired in a
-    fixed order); the outer action is diag(-1,1) and equals the action the
-    inner actions induce on the outer torus.  Any single-entry perturbation
-    of the standard inner or outer data fails at least one check.
+    Three checks: every inner action is an involution; each inner action
+    lies in the extension condition of some filling, and those fillings,
+    in any order, are the block's multiset {(1,2), (1,2), (-1,1)}; the
+    outer action is diag(-1,1) and equals the action the inner actions
+    induce on the outer torus.  Any single-entry perturbation of the
+    standard inner or outer data fails at least one check.
     """
     _require(outer, IntMatrix2, "matrix")
     try:
@@ -156,17 +158,12 @@ def verify_v221_construction(
         inner = ()
     if len(inner) != 3:
         raise ValueError("expected exactly three inner boundary actions")
-    # Before the search hashes them: is_involution refuses what is no matrix.
+    # Before the lookup hashes them: is_involution refuses what is no matrix.
     involution_ok = tuple(is_involution(A) for A in inner)
-    assignment = next(
-        (
-            perm
-            for perm in itertools.permutations(_V221_FILLINGS)
-            if all(A in _V221_CONDITIONS[f] for A, f in zip(inner, perm))
-        ),
-        None,
-    )
-    extends_ok = tuple(any(A in c for c in _V221_CONDITIONS.values()) for A in inner)
+    found = tuple(_V221_FILLING_OF.get(A) for A in inner)
+    extends_ok = tuple(f is not None for f in found)
+    fits = all(extends_ok) and sorted(found) == sorted(_V221_FILLINGS)
+    assignment = found if fits else None
     outer_ok = outer == _FIBER_FLIP and outer == _induced_outer_action(inner)
     passed = all(involution_ok) and assignment is not None and outer_ok
     return ConstructionReport(

@@ -229,6 +229,13 @@ class TestExtensionCondition:
                 with pytest.raises(UnsupportedSlopeError, match=r"derived for slope"):
                     extension_condition(slope)
 
+    def test_conditions_of_distinct_slopes_are_disjoint(self):
+        # A matrix of a supported condition names its slope, which is what
+        # lets the V(2,2;-1) validator look an inner action's filling up.
+        slopes = [FillingSlope(1, 2)] + [FillingSlope(x, 1) for x in range(-64, 65)]
+        members = [A for slope in slopes for A in extension_condition(slope)]
+        assert len(set(members)) == len(members) == 260
+
     def test_answers_exactly_the_two_families(self):
         slopes = slopes_in(50, 50)
         kept = set(answered(slopes))
@@ -288,6 +295,31 @@ class TestVerifyConstruction:
         report = verify_v221_construction((A, IntMatrix2(-1, 3, 0, 1), A))
         assert report.extends_ok == (True, False, True)
 
+    def test_lookup_matches_the_assignment_search(self):
+        # The reference is a search: the first ordering of the block's
+        # fillings under which each inner action lies in its filling's
+        # condition.  The triples range over the four matrices of those
+        # conditions and over outsiders: another slope's condition, an
+        # involution in none, the identity and the fiber flip.
+        matrices = [A for f in set(V221_FILLINGS) for A in extension_condition(f)]
+        matrices += [IntMatrix2(1, 0, 0, -1), IntMatrix2(-1, 3, 0, 1), IDENTITY,
+                     IntMatrix2(-1, 0, 0, 1)]
+        assert len(set(matrices)) == 8
+        for inner in itertools.product(matrices, repeat=3):
+            report = verify_v221_construction(inner)
+            expected = next(
+                (
+                    order
+                    for order in itertools.permutations(V221_FILLINGS)
+                    if all(A in extension_condition(f) for A, f in zip(inner, order))
+                ),
+                None,
+            )
+            assert report.assignment == expected, inner
+            assert report.extends_ok == tuple(
+                any(A in extension_condition(f) for f in V221_FILLINGS) for A in inner
+            ), inner
+
     def test_tampered_matrix_fails(self):
         mats = [IntMatrix2(-1, 2, 0, 1), IntMatrix2(-1, -2, 0, 1), IntMatrix2(-1, 1, 0, 1)]
         report = verify_v221_construction(mats)
@@ -330,7 +362,7 @@ class TestVerifyConstruction:
             verify_v221_construction(inner)
 
     def test_inner_actions_must_be_matrices(self):
-        # Each is refused before the filling search hashes it.
+        # Each is refused before the filling lookup hashes it.
         for A in ([-1, 1, 0, 1], (-1, 1, 0, 1)):
             inner = (A, IntMatrix2(-1, -2, 0, 1), IntMatrix2(-1, 1, 0, 1))
             message = f"^{re.escape(f'matrix must be an IntMatrix2, got {A!r}')}$"
