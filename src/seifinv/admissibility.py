@@ -56,13 +56,8 @@ def _violations(N: SeifertInvariants, e: Rational) -> tuple[Violation, ...]:
     out = []
     if e:
         out.append(Violation.NONZERO_EULER)
-    top = n = 0  # the highest fiber order, and the number of order-two fibers
-    for (q, _), count in N.tally.items():
-        if q > top:
-            top = q
-        if q == 2:
-            n += count
-    higher = top > 2
+    n = N.tally.get((2, 1), 0)  # in normal form every order-two fiber is (2,1)
+    higher = any(q > 2 for q, _ in N.tally)
     if higher:
         out.append(Violation.ORDER_GREATER_THAN_TWO)
     if n % 2 != 0:

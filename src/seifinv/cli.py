@@ -7,8 +7,9 @@ is a group, and its arguments are its own table.  Every leaf command also
 takes ``--json``.  ``run`` builds argparse's parsers from the table on
 each call, so the choice lists, usage lines, help and errors are argparse's
 own, but only the parsers on the path of the command being parsed: the
-top-level parser names every command, with its help line, and the
-subcommand action ``_Commands`` builds the chosen command's parser, with
+top-level parser names every command, with its help line, through
+argparse's own ``add_parser``, which holds each command as a ``_Command``;
+argparse asks only the chosen one to parse, and it builds its parser, with
 its ``-h``, then adds its own arguments or a group's sub-table.  A top-level
 command builds 2 parsers, an ``mcg`` command 3.  The parsers are not kept
 between calls yet: the benchmark runner keeps one sample per request, so
@@ -87,21 +88,23 @@ COMMANDS = (
 )
 
 
-class _Commands(argparse._SubParsersAction):
-    """A subcommand action that builds the parser of the command being
-    parsed, just before it parses.  Until then ``_name_parser_map`` holds
-    each command's table row under its name, so argparse's choices stay the
-    table's names, in order.  The chosen parser is made as ``add_parser``
-    makes it, ``-h`` included, so usage lines, help and errors keep
-    argparse's bytes and option order.  Then come the command's own
-    arguments and ``--json``, or a group's sub-table."""
+class _Command:
+    """A command as argparse holds it until it is chosen.  ``add_parser``
+    makes one per table row, handing it the row and ``prog``; the prefix of
+    that prog is the parent parser's own prog, exactly what
+    ``add_subparsers`` would format, since no positional precedes the
+    commands.  ``parse_known_args`` is the one method argparse calls on it:
+    it builds the command's parser as ``add_parser`` would have, ``-h``
+    included, so usage lines, help and errors keep argparse's bytes and
+    option order, adds the command's own arguments and ``--json``, or a
+    group's sub-table, and parses."""
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]  # argparse has checked it against the choices
-        arguments, module = self._name_parser_map[name]
-        chosen = self._name_parser_map[name] = self._parser_class(
-            prog=f"{self._prog_prefix} {name}"
-        )
+    def __init__(self, row, **keywords):
+        self.row, self.keywords = row, keywords
+
+    def parse_known_args(self, args, namespace):
+        name, _, arguments, module = self.row
+        chosen = argparse.ArgumentParser(**self.keywords)
         if module is None:
             _add_commands(chosen, f"{name}_command", arguments)
         else:
@@ -109,7 +112,7 @@ class _Commands(argparse._SubParsersAction):
                 chosen.add_argument(flag, **keywords)
             chosen.add_argument("--json", action="store_true")
             chosen.set_defaults(module=module)
-        super().__call__(parser, namespace, values, option_string)
+        namespace, extras = chosen.parse_known_args(args, namespace)
         # Before 3.13, argparse reads `--opt=--` as an empty list and skips
         # the option's type and choices; convert the "--" as 3.13 does.
         for action in chosen._actions:
@@ -120,13 +123,13 @@ class _Commands(argparse._SubParsersAction):
                 except argparse.ArgumentError as exc:
                     chosen.error(str(exc))
                 setattr(namespace, action.dest, value)
+        return namespace, extras
 
 
 def _add_commands(parser: argparse.ArgumentParser, dest: str, table) -> None:
-    sub = parser.add_subparsers(dest=dest, required=True, action=_Commands)
-    for name, help, arguments, module in table:
-        sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), help))
-        sub._name_parser_map[name] = arguments, module
+    sub = parser.add_subparsers(dest=dest, required=True, prog=parser.prog, parser_class=_Command)
+    for row in table:
+        sub.add_parser(row[0], help=row[1], row=row)
 
 
 def _finish(args, payload: dict, lines: list[str]) -> CommandResult:

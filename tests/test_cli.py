@@ -320,25 +320,66 @@ class TestArgumentsAddedOnDemand:
 
 
 class TestArgparseInternals:
-    """``cli.py`` builds its parsers through these private argparse members.
-    An argparse that renames one fails here, with its name, rather than in a
-    golden diff."""
+    """``cli.py`` reads these private argparse members, and relies on what
+    ``add_subparsers`` does with a ``parser_class``.  An argparse that
+    renames a member, or asks a command for more than ``parse_known_args``,
+    fails here, by name, rather than in a golden diff."""
 
-    SUBPARSERS = ("_ChoicesPseudoAction", "_choices_actions", "_name_parser_map",
-                  "_prog_prefix", "_parser_class")
     PARSER = ("_actions", "_get_value", "_check_value")
 
     def test_names_every_private_member_cli_reads(self):
         tree = ast.parse(Path(cli.__file__).read_text())
         read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         private = {name for name in read if name.startswith("_") and not name.endswith("__")}
-        assert private == {"_SubParsersAction", *self.SUBPARSERS, *self.PARSER}
+        assert private == set(self.PARSER)
 
-    @pytest.mark.parametrize("member", SUBPARSERS + PARSER)
+    @pytest.mark.parametrize("member", PARSER)
     def test_argparse_has_the_member(self, member):
-        parser = argparse.ArgumentParser(prog="seifinv")
-        owner = parser.add_subparsers(action=cli._Commands) if member in self.SUBPARSERS else parser
-        assert hasattr(owner, member), f"argparse has no {member}"
+        assert hasattr(argparse.ArgumentParser(prog="seifinv"), member), f"argparse has no {member}"
+
+    def test_a_command_is_only_asked_to_parse(self):
+        made, used = [], []
+
+        class Recording:
+            def __init__(self, **keywords):
+                made.append(keywords)
+
+            def __getattribute__(self, name):
+                used.append(name)
+                return object.__getattribute__(self, name)
+
+            def parse_known_args(self, args, namespace):
+                used[-1] = ("parse_known_args", args, namespace)
+                return argparse.Namespace(parsed=args), []
+
+        parser = argparse.ArgumentParser(prog="p")
+        sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog,
+                                    parser_class=Recording)
+        sub.add_parser("go", help="go somewhere", row="the row")
+        assert made == [{"prog": "p go", "row": "the row"}]
+        args = parser.parse_args(["go", "a"])
+        assert used == [("parse_known_args", ["a"], None)]
+        assert args == argparse.Namespace(command="go", parsed=["a"])
+
+
+class TestHelpNamesTheBounds:
+    """``COMMANDS`` writes each option's bounds out by hand, since deriving
+    them would run layer bodies on import; each must name its constant."""
+
+    BOUNDS = {
+        "--gmax": (("enumerate",), f"0 to {admissibility.MAX_GMAX}"),
+        "--nmax": (("enumerate",), f"0 to {admissibility.MAX_NMAX}"),
+        "--genus": (("surface-classes",), f"0 to {surfaces.MAX_GENUS}"),
+        "--bound": (("mcg", "conjugate"), f"1 to {torus_mcg.MAX_BOUND}"),
+    }
+
+    @pytest.mark.parametrize("flag", BOUNDS)
+    def test_help_ends_with_the_bounds(self, flag):
+        path, bounds = self.BOUNDS[flag]
+        keywords = dict(dict(_leaf_rows(cli.COMMANDS))[path])[flag]
+        if "default" in keywords:
+            bounds += f" (default {keywords['default']})"
+        assert keywords["help"].endswith(", " + bounds), keywords["help"]
 
 
 class TestUsageErrors:

@@ -34,6 +34,19 @@ def test_int_times_rational_matches_fraction():
             assert str(product) == str(k * f) and product == k * f, (n, d, k)
 
 
+@pytest.mark.parametrize("other", [0.5, Fraction(1, 2), Rational(1, 2), "2"], ids=repr)
+def test_no_other_product(other):
+    r = Rational(1, 2)
+    with pytest.raises(TypeError):
+        r * other
+    with pytest.raises(TypeError):
+        other * r
+
+
+def test_a_bool_multiplies_as_the_int_it_is():
+    assert True * Rational(1, 2) == True * Fraction(1, 2)
+
+
 def test_comparisons_match_fraction():
     # Each probe is compared as an int or a Fraction and as a Rational.
     probes = [(p, Fraction(p)) for p in PROBES]
