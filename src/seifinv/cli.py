@@ -4,18 +4,20 @@
 its arguments as ``(flag, add_argument keywords)`` pairs and the module in
 ``seifinv.commands`` whose ``handle`` runs it; a row whose module is ``None``
 is a group, and its arguments are its own table.  Every leaf command also
-takes ``--json``.  ``run`` builds argparse's parsers from the table on
-each call, so the choice lists, usage lines, help and errors are argparse's
-own, but only the parsers on the path of the command being parsed: the
-top-level parser names every command, with its help line, through
-argparse's own ``add_parser``, which holds each command as a ``_Command``;
-argparse asks only the chosen one to parse, and it builds its parser, with
-its ``-h``, then adds its own arguments or a group's sub-table.  A top-level
-command builds 2 parsers, an ``mcg`` command 3.  The parsers are not kept
-between calls yet: the benchmark runner keeps one sample per request, so
-its memory grows with throughput, and a kept tree raised ``query-mix`` peak
-RSS by about 40 %, against a 10 % bound (``BENCH_30.json``, ROADMAP items 1
-and 2).
+takes ``--json``.  argparse's parsers are built from the table, so the
+choice lists, usage lines, help and errors are argparse's own.  The first
+``run`` of a process builds the top-level parser, and later calls reuse it.
+It names every command, with its help line, through argparse's own
+``add_parser``, which holds each command as a ``_Command``; argparse asks
+only the chosen one to parse, and it builds its parser on every call, with
+its ``-h``, then adds its own arguments or a group's sub-table.  So a call
+builds 1 parser, 2 for an ``mcg`` command, and the first call one more.
+argparse formats help and usage when it prints them, so each call's
+output follows that call's terminal width.  The command parsers stay per
+call: the benchmark runner keeps one sample per request, so its memory
+grows with throughput, and keeping every parser raised ``query-mix`` to
+9,370 ops/s but its peak RSS by 16 %, and ``frame-search``'s by 19 %,
+against a 10 % bound (``BENCH_36.json``, ROADMAP items 1 and 2).
 ``run`` then imports the module of the command it parsed, and ``_finish``
 renders the handler's text lines or, with ``--json``, its payload.  A
 process thus compiles the one handler it runs.  ``json_render.indented``
@@ -32,6 +34,7 @@ and ``--seed``; its verdict is one validation, vacuously true for
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import os
 import sys
@@ -89,15 +92,16 @@ COMMANDS = (
 
 
 class _Command:
-    """A command as argparse holds it until it is chosen.  ``add_parser``
+    """A command as its kept parent parser holds it.  ``add_parser``
     makes one per table row, handing it the row and ``prog``; the prefix of
     that prog is the parent parser's own prog, exactly what
     ``add_subparsers`` would format, since no positional precedes the
     commands.  ``parse_known_args`` is the one method argparse calls on it:
-    it builds the command's parser as ``add_parser`` would have, ``-h``
-    included, so usage lines, help and errors keep argparse's bytes and
-    option order, adds the command's own arguments and ``--json``, or a
-    group's sub-table, and parses."""
+    on every call it builds the command's parser as ``add_parser`` would
+    have, ``-h`` included, so usage lines, help and errors keep argparse's
+    bytes and option order, adds the command's own arguments and
+    ``--json``, or a group's sub-table, and parses.  The parser is not
+    kept; the module docstring says why."""
 
     def __init__(self, row, **keywords):
         self.row, self.keywords = row, keywords
@@ -143,16 +147,22 @@ def _finish(args, payload: dict, lines: list[str]) -> CommandResult:
     return CommandResult("ok", payload, "\n".join(lines), 0)
 
 
-def run(argv: list[str]) -> CommandResult:
-    """Dispatch one invocation; never raises for user errors."""
+@functools.cache
+def _root() -> argparse.ArgumentParser:
+    """The top-level parser, built on the first ``run`` and kept."""
     parser = argparse.ArgumentParser(
         prog="seifinv",
         description="Exact invariants, admissibility, and involution census "
         "for orientable Seifert fibered 3-manifolds.",
     )
     _add_commands(parser, "command", COMMANDS)
+    return parser
+
+
+def run(argv: list[str]) -> CommandResult:
+    """Dispatch one invocation; never raises for user errors."""
     try:
-        args = parser.parse_args(argv)
+        args = _root().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         if exc.code == 0:
             return CommandResult("ok", None, "", 0)

@@ -246,11 +246,13 @@ def _leaves(table):
 
 
 class TestArgumentsAddedOnDemand:
-    """A run builds only the parsers on the path of the command it parses:
-    the top-level parser, then the chosen command's, and for an ``mcg``
-    command the chosen subcommand's.  Each gets ``-h`` first; the leaf gets
-    its own arguments and ``--json``.  The choices are still every command
-    of the table, in order."""
+    """A process builds only the parsers on the path of the command it
+    parses.  Its first run builds the top-level parser and keeps it; each
+    run builds the chosen command's parser, and for an ``mcg`` command the
+    chosen subcommand's.  Each gets ``-h`` first; the leaf gets its own
+    arguments and ``--json``.  The choices are still every command of the
+    table, in order.  Each case starts as a process that has not run yet,
+    then runs its argv twice."""
 
     DESCRIPTOR = "(0,o1|(2,1),(2,1),(2,1),(2,1),(1,-2))"
     ARGS = {
@@ -266,6 +268,10 @@ class TestArgumentsAddedOnDemand:
         ("lift",): ["(2,n1|)"],
         ("psi-check",): [DESCRIPTOR, "--trials", "1"],
     }
+
+    @pytest.fixture(autouse=True)
+    def no_root_yet(self):
+        cli._root.cache_clear()
 
     @staticmethod
     def spy(monkeypatch):
@@ -295,14 +301,18 @@ class TestArgumentsAddedOnDemand:
     @pytest.mark.parametrize("path, dests", list(_leaves(cli.COMMANDS)), ids=" ".join)
     def test_adds_only_the_parsed_commands_arguments(self, path, dests, monkeypatch):
         built, added = self.spy(monkeypatch)
-        assert run([*path, *self.ARGS[path]]).exit_code == 0
         on_path = [" ".join(["seifinv", *path[:i]]) for i in range(len(path) + 1)]
-        assert [parser.prog for parser in built] == on_path
-        assert Counter(added) == Counter({"help": len(on_path), "json": 1, **dict.fromkeys(dests, 1)})
-        for parser in built:
-            assert parser._actions[0].dest == "help"
+        runs = []
+        for progs in (on_path, on_path[1:]):  # the first run, then a later one
+            del built[:], added[:]
+            assert run([*path, *self.ARGS[path]]).exit_code == 0
+            assert [parser.prog for parser in built] == progs
+            assert Counter(added) == Counter({"help": len(progs), "json": 1, **dict.fromkeys(dests, 1)})
+            for parser in built:
+                assert parser._actions[0].dest == "help"
+            runs.append(list(built))
         table = cli.COMMANDS
-        for parser, name in zip(built, path):
+        for parser, name in zip(runs[0], path):
             assert self.choices(parser) == [row[0] for row in table]
             (table,) = [row[2] for row in table if row[0] == name]
 
@@ -317,6 +327,9 @@ class TestArgumentsAddedOnDemand:
         assert run(argv).exit_code == (0 if argv == ["--help"] else 2)
         assert [parser.prog for parser in built] == progs
         assert self.choices(built[0]) == [row[0] for row in cli.COMMANDS]
+        built.clear()  # a later run: the top-level parser is kept
+        assert run(argv).exit_code == (0 if argv == ["--help"] else 2)
+        assert [parser.prog for parser in built] == progs[1:]
 
 
 class TestArgparseInternals:

@@ -10,6 +10,8 @@ versions: the file was recorded with Python 3.11, Python 3.10 and 3.12
 reproduce it too, and Python 3.13 differs in 7 of its 31 cases.
 ``parse_seifert`` is replayed on seeded malformed and edge-case texts and
 must reproduce each parsed descriptor, or each refusal with its position.
+``TestKeptRoot`` replays the CLI and help cases again in shuffled orders
+and from threads, against the top-level parser a process keeps.
 The expected data in ``data/golden_cli.json``, ``data/golden_help.json``
 and ``data/golden_parse.json`` is regenerated with::
 
@@ -28,6 +30,7 @@ import os
 import random
 import re
 import sys
+import threading
 from pathlib import Path
 
 from util import NEEDS_DIGIT_LIMIT, digit_limit
@@ -541,6 +544,78 @@ def test_golden_exercises_every_outcome():
         assert tag in tags
     for case in ("1a", "1b", "2a", "2b", "3a", "3b", "3c"):
         assert f"case={case}" in tags
+
+
+# One `--opt=--` argv per option.  Before 3.13, argparse reads the value as
+# an empty list, and the command's parser converts it as 3.13 does.
+_OPT_DASH = [
+    ["enumerate", "--gmax=--", "--nmax", "2"],
+    ["enumerate", "--gmax", "1", "--nmax=--"],
+    ["mcg", "conjugate", "0,1;1,0", "1,0;0,-1", "--bound=--"],
+    ["extend", "--slope=--", "--matrix", "1,0;0,1"],
+    ["extend", "--slope", "1,2", "--matrix=--"],
+    ["surface-classes", "--genus=--"],
+    ["surface-classes", "--genus", "1", "--filter=--"],
+    ["psi-check", _FLAT, "--trials=--"],
+    ["psi-check", _FLAT, "--seed=--"],
+]
+
+
+def _first_run() -> None:
+    """Drop the kept top-level parser: the next run is the process's first."""
+    from seifinv import cli
+
+    cli._root.cache_clear()
+
+
+class TestKeptRoot:
+    """A process builds the top-level parser on its first run and keeps it.
+    No request may leave a trace in it that another one sees: the golden
+    cases replay in any order, between ``--help``, usage errors and
+    ``--opt=--`` argvs, help follows the terminal width of its own request,
+    and threads replay the goldens at once."""
+
+    def test_any_order_replays_the_goldens(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        cases = [(_record, rec) for rec in _load()]
+        cases += [(_record_main, rec) for rec in json.loads(HELP_GOLDEN.read_text())]
+        for argv in _OPT_DASH:  # no golden: what the first run of a process gives
+            _first_run()
+            cases.append((_record_main, _record_main(argv)))
+        mismatched = []
+        for seed in (1, 2, 3):
+            _first_run()
+            for record, rec in random.Random(seed).sample(cases, len(cases)):
+                if record(rec["argv"]) != rec:
+                    mismatched.append((seed, rec["argv"]))
+        assert mismatched == []
+
+    def test_help_follows_the_width_of_its_request(self, monkeypatch):
+        helps = (["--help"], ["classify", "--help"])
+        monkeypatch.setenv("COLUMNS", "80")
+        _first_run()
+        at_80 = [_record_main(argv) for argv in helps]  # the parser is built at 80 columns
+        monkeypatch.setenv("COLUMNS", "120")
+        kept = [_record_main(argv) for argv in helps]
+        _first_run()
+        assert kept == [_record_main(argv) for argv in helps]
+        assert kept[0] != at_80[0]  # the description wraps at 80 columns, not at 120
+
+    def test_threads_replay_the_goldens_at_once(self):
+        records = _load()
+        mismatched = {}
+
+        def replay(seed):
+            shuffled = random.Random(seed).sample(records, len(records))
+            mismatched[seed] = [rec["argv"] for rec in shuffled if _record(rec["argv"]) != rec]
+
+        _first_run()
+        threads = [threading.Thread(target=replay, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert mismatched == dict.fromkeys(range(4), [])
 
 
 def _check() -> int:

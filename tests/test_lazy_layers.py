@@ -66,6 +66,28 @@ def test_importing_the_cli_executes_no_layer(statement):
     assert _layers_executed(statement) == []
 
 
+def test_importing_the_cli_builds_no_parser():
+    # The top-level parser is built by the first run, and not on import.
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def spied(self, *args, **kwargs):\n"
+        "    init(self, *args, **kwargs)\n"
+        "    built.append(self.prog)\n"
+        "argparse.ArgumentParser.__init__ = spied\n"
+        "import seifinv.cli\n"
+        "print(built)\n"
+        "assert seifinv.cli.run(['verify-v221']).exit_code == 0\n"
+        "print(built)\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    imported, ran = map(ast.literal_eval, proc.stdout.splitlines()[-2:])
+    assert imported == []
+    assert ran == ["seifinv", "seifinv verify-v221"]
+
+
 @pytest.mark.parametrize(
     "argv, layers",
     [
