@@ -9,8 +9,11 @@ base double cover.
 
 The six layer modules load on first use: importing the package registers
 each one with ``importlib.util.LazyLoader``, and a module body runs when one
-of its attributes is first read.  The public names are the union of the
-layers' ``__all__`` and are served from the layer that exports them.
+of its attributes is first read.  So a command runs only the layer bodies it
+reads, and every ``seifinv.<layer>`` is in ``sys.modules`` once the package
+is imported, where the benchmark's tracer (``seifbench/spans.py``) looks it
+up.  The public names are the union of the layers' ``__all__`` and are
+served from the layer that exports them.
 
 The records that check their fields share the base ``_Checked``, and every
 check of a type is ``_require``; layers import both here.

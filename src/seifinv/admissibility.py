@@ -170,6 +170,9 @@ def _window(g_max: int, n_max: int) -> tuple[list[BaseSurface], list[SeifertInva
         raise ValueError(f"nmax must be at most {MAX_NMAX}, got {n_max}")
     bases = [BaseSurface(g, True) for g in range(g_max + 1)]
     # Built from fields known to pass the checks: n pairs (2,1) and their tally.
+    # The tally is passed, not left to _on_base to count: counting the window's
+    # pairs too made wide-descriptors 1.8-2.8 % slower, and its enumerate
+    # requests 3.8-8.1 %.
     return bases, [
         SeifertInvariants._on_base(
             bases[0], ((2, 1),) * n, -(n // 2), MappingProxyType({(2, 1): n} if n else {})

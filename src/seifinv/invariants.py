@@ -115,11 +115,12 @@ class SeifertInvariants(_Checked, _SeifertFields):
     """Descriptor (g, o1 | (q1,p1), ..., (1,b)) with exact integer data.
 
     ``tally`` maps each distinct pair to its multiplicity, in first-seen
-    order; the invariants are computed from it, once per distinct pair.  It
-    is derived from ``pairs`` and kept outside the tuple, so it takes no part
-    in equality, hashing or repr.  It is a read-only mapping, and records
-    with the same pairs may share it.  The constructor checks every pair
-    entry before it counts, since ``(2.0, 1)`` would count as ``(2, 1)``.
+    order; the invariants are computed from it, once per distinct pair.
+    ``_on_base`` derives it from ``pairs`` and keeps it outside the tuple, so
+    it takes no part in equality, hashing or repr.  It is a read-only
+    mapping, and records with the same pairs may share it.  The constructor
+    checks the type of every pair entry first, since ``(2.0, 1)`` would
+    count as ``(2, 1)``, then each distinct pair, in written order.
     """
 
     def __new__(cls, base: BaseSurface, pairs=(), b: int = 0):
@@ -135,19 +136,22 @@ class SeifertInvariants(_Checked, _SeifertFields):
                 raise ValueError(f"pair must be (q, p), got {pair!r}") from None
             checked.append((_require(q, int, "q"), _require(p, int, "p")))
         pairs = tuple(checked)
-        tally = Counter(pairs)
-        for q, p in tally:
+        for q, p in dict.fromkeys(pairs):
             if problem := _pair_problem(q, p):
                 raise ValueError(problem)
-        return cls._on_base(base, pairs, _require(b, int, "b"), MappingProxyType(tally))
+        return cls._on_base(base, pairs, _require(b, int, "b"))
 
     @classmethod
-    def _on_base(cls, base, pairs, b, tally):
+    def _on_base(cls, base, pairs, b, tally=None):
         """The record on ``base``, checked here, of fields the caller vouches
-        for: ``pairs`` a tuple of (int, int) tuples that pass ``_pair_problem``,
-        ``b`` an int and ``tally`` a read-only mapping equal to ``Counter(pairs)``."""
+        for: ``pairs`` a tuple of (int, int) tuples that pass ``_pair_problem``
+        and ``b`` an int.  The tally is derived here from ``pairs`` unless the
+        caller passes one, a read-only mapping equal to ``Counter(pairs)``;
+        ``admissibility`` passes the one its rows of a fiber count share."""
         _require(base, BaseSurface, "base")
         self = super().__new__(cls, base, pairs, b)
+        if tally is None:
+            tally = MappingProxyType(Counter(pairs))
         object.__setattr__(self, "tally", tally)
         return self
 
@@ -252,9 +256,7 @@ def parse_seifert(text: str) -> SeifertInvariants:
     if m.end() < len(text):
         raise SeifertParseError("unexpected trailing text", m.end())
     b = pairs.pop()[1] if pairs and pairs[-1][0] == 1 else 0
-    pairs = tuple(pairs)
-    tally = MappingProxyType(Counter(pairs))
-    return SeifertInvariants._on_base(BaseSurface(genus, orientable), pairs, b, tally)
+    return SeifertInvariants._on_base(BaseSurface(genus, orientable), tuple(pairs), b)
 
 
 def print_seifert(M: SeifertInvariants) -> str:
@@ -287,27 +289,20 @@ def _print_body(M: SeifertInvariants) -> str:
 def normalize(M: SeifertInvariants) -> SeifertInvariants:
     """Fold every pair into the range 0 < p < q and absorb q = 1 pairs into b.
 
-    Each move (q,p) -> (q, p mod q) adds (p - p mod q)/q to b, so the Euler
-    number is preserved exactly.  A descriptor that is already normal is
-    returned as it is.  Each distinct pair is folded once.
+    One rule folds every pair: (q,p) adds p // q to b and leaves
+    (q, p mod q) in its place, or nothing when q = 1, since p // 1 = p is
+    then the whole pair.  So the Euler number is preserved exactly.  A
+    descriptor that is already normal is returned as it is.  Each distinct
+    pair is folded once, and ``_on_base`` derives the folded pairs' tally.
     """
     _require(M, SeifertInvariants, "descriptor")
     if all(0 < p < q for q, p in M.tally):
         return M
-    b = M.b
-    folded: dict[tuple[int, int], tuple[int, int] | None] = {}
-    tally = Counter()
-    for (q, p), count in M.tally.items():
-        if q == 1:
-            b += count * p
-            folded[q, p] = None
-        else:
-            r = p % q  # gcd(p, q) = 1 and q >= 2, so 0 < r < q and (q, r) is coprime
-            b += count * ((p - r) // q)
-            folded[q, p] = (q, r)
-            tally[q, r] += count
+    # gcd(p, q) = 1 and q >= 2, so 0 < p % q < q and (q, p % q) is coprime
+    folded = {(q, p): (q, p % q) if q > 1 else None for q, p in M.tally}
+    b = M.b + sum(count * (p // q) for (q, p), count in M.tally.items())
     pairs = tuple(filter(None, map(folded.__getitem__, M.pairs)))
-    return SeifertInvariants._on_base(M.base, pairs, b, MappingProxyType(tally))
+    return SeifertInvariants._on_base(M.base, pairs, b)
 
 
 def _compared(op):

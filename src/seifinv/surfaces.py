@@ -102,18 +102,17 @@ def classes_for_genus(g: int, selection: str = "all") -> list[SurfaceInvolutionC
         raise ValueError("genus must be non-negative")
     if g > MAX_GENUS:
         raise ValueError(f"genus must be at most {MAX_GENUS}, got {g}")
-    preserving = [SurfaceInvolutionClass(InvolutionKind.ID, g)]
-    preserving += [SurfaceInvolutionClass(InvolutionKind.SPIT, g, r) for r in range(g // 2 + 1)]
+    catalog = [SurfaceInvolutionClass(InvolutionKind.ID, g)]
+    catalog += [SurfaceInvolutionClass(InvolutionKind.SPIT, g, r) for r in range(g // 2 + 1)]
     if g % 2 == 1:
-        preserving.append(SurfaceInvolutionClass(InvolutionKind.ROT, g))
-    reversing = [SurfaceInvolutionClass(InvolutionKind.REFL, g, r) for r in range(g // 2 + 1)]
-    reversing += [SurfaceInvolutionClass(InvolutionKind.ANTI, g, r) for r in range(g + 1)]
-    if selection == "preserving":
-        return preserving
-    if selection == "reversing":
-        return reversing
+        catalog.append(SurfaceInvolutionClass(InvolutionKind.ROT, g))
+    catalog += [SurfaceInvolutionClass(InvolutionKind.REFL, g, r) for r in range(g // 2 + 1)]
+    catalog += [SurfaceInvolutionClass(InvolutionKind.ANTI, g, r) for r in range(g + 1)]
     if selection == "all":
-        return preserving + reversing
+        return catalog
+    if selection in ("preserving", "reversing"):
+        preserving = selection == "preserving"
+        return [c for c in catalog if c.orientation_preserving is preserving]
     raise ValueError(f"unknown selection {selection!r}")
 
 

@@ -134,6 +134,21 @@ def test_refusal_messages(record, args, message):
     assert str(exc.value) == message
 
 
+# The same two bad pairs in both orders: whatever order a set would visit
+# them in, one of the two cases tells it from written order.
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        (((2, 1), (6, 4), (0, 1)), "non-coprime pair (6,4)"),
+        (((2, 1), (0, 1), (6, 4)), "fiber order must be positive in (0,1)"),
+    ],
+)
+def test_the_first_bad_pair_in_written_order_is_refused(pairs, message):
+    with pytest.raises(ValueError) as exc:
+        SeifertInvariants(BaseSurface(0), pairs)
+    assert str(exc.value) == message
+
+
 # (public function, the record it takes, the refusal's name for its argument)
 TAKERS = [
     (check_admissible, "SeifertInvariants", "descriptor"),

@@ -52,8 +52,9 @@ class TestClassList:
             assert not any(c.orientation_preserving for c in reversing)
 
     def test_unknown_filter(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             classes_for_genus(1, "sideways")
+        assert str(exc.value) == "unknown selection 'sideways'"
 
     @pytest.mark.parametrize("genus", [2.5, "3", True])
     def test_non_int_genus_refused(self, genus):
