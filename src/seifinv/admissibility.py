@@ -1,11 +1,17 @@
 """Which descriptors admit a fiber-preserving, orientation-reversing involution.
 
-A descriptor with orientable base admits one exactly when its Euler number
-vanishes, every exceptional fiber has order two, there are evenly many of
-them, and the obstruction term equals -n/2.  Admissible descriptors fall
-into seven cases keyed on (genus, n), split primarily by the sign of the
-orbifold Euler characteristic.  The module also holds the refusal of an
-inadmissible descriptor that ``census`` and ``psi-check`` share.
+With orientable base, a descriptor admits a fiber-preserving,
+orientation-reversing involution whose base action fixes every cone point
+(Psi acts trivially on the base) exactly when e = 0 and no exceptional fiber
+has order above 2.  ``OddCount`` and ``WrongBTerm`` are consequences: each
+forces a nonzero e when no order is above 2.  Involutions that swap cone
+points are not decided.  The scope is the ROADMAP's own argument (item 16),
+not the paper's: ``PAPER.md`` holds only the abstract.
+
+Admissible descriptors fall into seven cases keyed on (genus, n), split
+primarily by the sign of the orbifold Euler characteristic.  The module also
+holds the refusal of an inadmissible descriptor that ``census`` and
+``psi-check`` share.
 """
 
 from __future__ import annotations
@@ -33,6 +39,16 @@ __all__ = [
 
 
 class Violation(Enum):
+    """Why a descriptor is not admissible, in the order the report lists them.
+
+    With orientable base, a descriptor admits a fiber-preserving,
+    orientation-reversing involution whose base action fixes every cone
+    point (Psi acts trivially on the base) exactly when e = 0 and no
+    exceptional fiber has order above 2.  ``OddCount`` and ``WrongBTerm``
+    are consequences: each forces a nonzero e when no order is above 2.
+    Involutions that swap cone points are not decided.
+    """
+
     NONZERO_EULER = "NonzeroEuler"
     ORDER_GREATER_THAN_TWO = "OrderGreaterThanTwo"
     ODD_COUNT = "OddCount"
@@ -54,17 +70,16 @@ class AdmissibilityReport(NamedTuple):
 
 def _violations(N: SeifertInvariants, e: Rational) -> tuple[Violation, ...]:
     out = []
+    higher = any(q > 2 for q, _ in N.tally)
     if e:
         out.append(Violation.NONZERO_EULER)
-    n = N.tally.get((2, 1), 0)  # in normal form every order-two fiber is (2,1)
-    higher = any(q > 2 for q, _ in N.tally)
     if higher:
         out.append(Violation.ORDER_GREATER_THAN_TWO)
-    if n % 2 != 0:
+    if N.tally.get((2, 1), 0) % 2:
         out.append(Violation.ODD_COUNT)
-    # The b = -n/2 comparison presumes every fiber has order two; with
-    # higher-order fibers present it carries no information.
-    if not higher and 2 * N.b != -n:
+    # With no order above 2, every fiber of the normal form is (2,1), so
+    # e = -(b + n/2) and b = -n/2 exactly when e = 0.
+    if e and not higher:
         out.append(Violation.WRONG_B_TERM)
     return tuple(out)
 
@@ -87,10 +102,17 @@ def _case_and_geometry(genus: int, fibered: bool, sign: int) -> tuple[str, Geome
 def check_admissible(M: SeifertInvariants) -> AdmissibilityReport:
     """Evaluate all admissibility conditions on the normalized descriptor.
 
+    With orientable base, a descriptor admits a fiber-preserving,
+    orientation-reversing involution whose base action fixes every cone
+    point (Psi acts trivially on the base) exactly when e = 0 and no
+    exceptional fiber has order above 2.  ``OddCount`` and ``WrongBTerm``
+    are consequences: each forces a nonzero e when no order is above 2.
+    Involutions that swap cone points are not decided.
+
     This is the one admissibility predicate: it normalizes once, computes
     ``e`` and ``chi_orb`` together from one pass over the tally, in exact
-    integers, reads the highest fiber order and the number of order-two
-    fibers in one more pass, and takes the case and the geometry from the
+    integers, reads whether any fiber order is above 2 and the number of
+    (2,1) fibers off the tally, and takes the case and the geometry from the
     sign of ``chi_orb``'s numerator.  The report carries the normalized
     descriptor and both invariants, so callers need not compute them again.
     Violations accumulate rather than short-circuit, so the report is

@@ -121,10 +121,13 @@ class DoubleCoverReport(NamedTuple):
 def lift_to_double_cover(M: SeifertInvariants) -> tuple[SeifertInvariants, DoubleCoverReport]:
     """Orientable-base double cover of a non-orientable-base descriptor.
 
-    Non-orientable genus k lifts to orientable genus k - 1; every
-    exceptional pair is duplicated and the obstruction term doubles.  The
-    report carries the computed doubling checks for the Euler number and
-    the orbifold Euler characteristic, plus the cover's admissibility.
+    Non-orientable genus k lifts to orientable genus k - 1, so chi goes
+    from 2 - k to 4 - 2k; every exceptional pair is duplicated and the
+    obstruction term doubles.  So e(cover) = 2e and chi_orb(cover) =
+    2 chi_orb for every input, by construction: the report's
+    ``euler_doubled`` and ``chi_orb_doubled`` are always true, and check
+    nothing independently.  The report also carries both invariants of the
+    input and the cover, and the cover's admissibility.
     """
     _require(M, SeifertInvariants, "descriptor")
     if M.base.orientable:

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from seifinv import (
     admissibility,
     check_admissible,
     CensusScopeError,
+    FillingSlope,
+    IntMatrix2,
     enumerate_admissible,
     enumerate_factorizations,
     euler_number,
@@ -63,6 +66,44 @@ class TestCheckAdmissible:
             got = check_admissible(M(0, shuffled, -1))
             assert got.admissible == reference.admissible
             assert set(got.violations) == set(reference.violations)
+
+    def test_a_cone_point_swap_is_outside_the_rule(self):
+        # (0,o1|(3,1),(3,-1)) has e = 0.  A rotation of S^2 that swaps its two
+        # cone points, times t -> -t, extends across both fillings: the fiber
+        # flip carries one filling's slope to the other's.  The rule decides
+        # only base actions that fix every cone point, so it answers no.
+        M3 = parse_seifert("(0,o1|(3,1),(3,-1))")
+        assert euler_number(M3) == 0
+        assert check_admissible(M3).violations == (Violation.ORDER_GREATER_THAN_TWO,)
+        one, other = FillingSlope(1, 3), FillingSlope(-1, 3)
+        assert [FillingSlope(p, q) for q, p in M3.pairs] == [one, other]
+        flip = IntMatrix2(-1, 0, 0, 1)
+
+        def act(A, s):  # A on the column (m, l)
+            return FillingSlope(A.a * s.m + A.b * s.l, A.c * s.m + A.d * s.l)
+
+        assert act(flip, one) == other
+        assert act(flip, other) == one
+
+    def test_the_rule_is_stated_in_the_same_words(self):
+        rule = (
+            "with orientable base, a descriptor admits a fiber-preserving, "
+            "orientation-reversing involution whose base action fixes every cone "
+            "point (Psi acts trivially on the base) exactly when e = 0 and no "
+            "exceptional fiber has order above 2. OddCount and WrongBTerm are "
+            "consequences: each forces a nonzero e when no order is above 2. "
+            "Involutions that swap cone points are not decided."
+        )
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        texts = {
+            "README": readme,
+            "module": admissibility.__doc__,
+            "Violation": Violation.__doc__,
+            "check_admissible": check_admissible.__doc__,
+        }
+        for where, text in texts.items():
+            words = " ".join(text.replace("`", "").split())
+            assert rule.casefold() in words.casefold(), where
 
     def test_violation_vocabulary(self):
         assert {v.value for v in Violation} == {
@@ -252,7 +293,7 @@ class TestFractionOracle:
 
     def test_random_tallies(self):
         rng = random.Random(1701)
-        seen = set()
+        seen, low_orders = set(), set()
         for i in range(800):
             # Every fourth descriptor has fibers of order two only; the others
             # mix order two with orders 3-7.  Up to three q = 1 strays go
@@ -279,4 +320,11 @@ class TestFractionOracle:
             assert (rep.admissible, rep.case_label, rep.geometry) == (not tags, label, geom)
             seen.update(tags)
             seen.add(label)
+            if all(q <= 2 for q, _ in pairs):
+                # No order above 2: the reference's b and count tags follow e.
+                nonzero = Violation.NONZERO_EULER in tags
+                assert (Violation.WRONG_B_TERM in tags) == nonzero, desc
+                assert Violation.ODD_COUNT not in tags or nonzero, desc
+                low_orders.add(e == 0)
         assert seen >= set(Violation) | {"1a", "1b", "2a", "2b", "3a", "3b", "3c"}
+        assert low_orders == {True, False}
