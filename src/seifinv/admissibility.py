@@ -34,7 +34,6 @@ __all__ = [
     "AdmissibilityReport",
     "Violation",
     "check_admissible",
-    "enumerate_admissible",
 ]
 
 
@@ -158,30 +157,24 @@ def _require_admissible(M: SeifertInvariants) -> AdmissibilityReport:
     return report
 
 
-# Largest window enumerate_admissible accepts: 51 genera times 51 even fiber
+# Largest window the enumerate command accepts: 51 genera times 51 even fiber
 # counts, 2,601 descriptors of up to 100 fibers each.  The benchmark's largest
 # window is 20 x 60.
 MAX_GMAX = 50
 MAX_NMAX = 100
 
 
-def enumerate_admissible(g_max: int, n_max: int) -> list[SeifertInvariants]:
-    """All normalized admissible descriptors with genus <= g_max and n <= n_max.
-
-    Ordered lexicographically by (genus, n) so output is reproducible.  The
-    descriptor of genus g and n fibers is (g, o1 | (2,1) x n, (1,-n/2)).
-    ``_window`` builds each n's descriptor once, and the rows of one n share
-    its checked pairs, ``b`` and tally.  ``g_max`` runs from 0 to
-    ``MAX_GMAX`` (50) and ``n_max`` from 0 to ``MAX_NMAX`` (100); any other
-    bound is refused before a descriptor is built.
-    """
-    bases, fibers = _window(g_max, n_max)
-    return [M._on_base(base, M.pairs, M.b, M.tally) for base in bases for M in fibers]
-
-
 def _window(g_max: int, n_max: int) -> tuple[list[BaseSurface], list[SeifertInvariants]]:
     """The window's orientable bases, genus 0 to ``g_max``, and its
-    descriptor of each even fiber count n <= ``n_max`` on the first of them."""
+    descriptor of each even fiber count n <= ``n_max`` on the first of them.
+
+    The window's rows are the admissible normal forms
+    (g, o1 | (2,1) x n, (1,-n/2)), genus-major, then by fiber count: the
+    bases come in genus order and the descriptors in fiber-count order.
+    ``g_max`` runs from 0 to ``MAX_GMAX`` (50) and ``n_max`` from 0 to
+    ``MAX_NMAX`` (100); any other bound is refused before a descriptor is
+    built.
+    """
     _require(g_max, int, "gmax")
     _require(n_max, int, "nmax")
     if g_max < 0 or n_max < 0:

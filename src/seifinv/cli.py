@@ -15,9 +15,10 @@ builds 1 parser, 2 for an ``mcg`` command, and the first call one more.
 argparse formats help and usage when it prints them, so each call's
 output follows that call's terminal width.  The command parsers stay per
 call: the benchmark runner keeps one sample per request, so its memory
-grows with throughput, and keeping every parser raised ``query-mix`` to
-9,370 ops/s but its peak RSS by 16 %, and ``frame-search``'s by 19 %,
-against a 10 % bound (``BENCH_36.json``, ROADMAP items 1 and 2).
+grows with throughput.  Built once in the kept root, they raised
+``query-mix`` from 3,544 to 9,375 ops/s but its peak RSS by 20 %, and
+``frame-search``'s by 19 %, against a 10 % bound (``BENCH_39.json``
+``keep_every_parser``, ROADMAP items 1 and 2).
 ``run`` then imports the module of the command it parsed, and ``_finish``
 renders the handler's text lines or, with ``--json``, its payload.  A
 process thus compiles the one handler it runs.  ``json_render.indented``

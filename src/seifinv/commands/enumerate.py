@@ -4,7 +4,7 @@ from .. import admissibility, invariants
 
 
 def handle(args):
-    """One row per descriptor of ``enumerate_admissible``, in its order.
+    """One row per descriptor of the window, genus-major, then by fiber count.
 
     Only the case reads the genus, so each even fiber count n is checked
     once, by ``check_admissible`` on its descriptor on the window's first

@@ -118,9 +118,9 @@ class SeifertInvariants(_Checked, _SeifertFields):
     order; the invariants are computed from it, once per distinct pair.
     ``_on_base`` derives it from ``pairs`` and keeps it outside the tuple, so
     it takes no part in equality, hashing or repr.  It is a read-only
-    mapping, and records with the same pairs may share it.  The constructor
-    checks the type of every pair entry first, since ``(2.0, 1)`` would
-    count as ``(2, 1)``, then each distinct pair, in written order.
+    mapping.  The constructor checks the type of every pair entry first,
+    since ``(2.0, 1)`` would count as ``(2, 1)``, then each distinct pair, in
+    written order.
     """
 
     def __new__(cls, base: BaseSurface, pairs=(), b: int = 0):
@@ -147,7 +147,7 @@ class SeifertInvariants(_Checked, _SeifertFields):
         for: ``pairs`` a tuple of (int, int) tuples that pass ``_pair_problem``
         and ``b`` an int.  The tally is derived here from ``pairs`` unless the
         caller passes one, a read-only mapping equal to ``Counter(pairs)``;
-        ``admissibility`` passes the one its rows of a fiber count share."""
+        ``admissibility._window`` passes the one it builds with the pairs."""
         _require(base, BaseSurface, "base")
         self = super().__new__(cls, base, pairs, b)
         if tally is None:

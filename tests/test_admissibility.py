@@ -1,29 +1,27 @@
+import json
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from seifinv import (
-    BaseSurface,
     GeometryType,
-    SeifertInvariants,
     Violation,
     admissibility,
     check_admissible,
     CensusScopeError,
     FillingSlope,
     IntMatrix2,
-    enumerate_admissible,
     enumerate_factorizations,
     euler_number,
     normalize,
     orbifold_euler_characteristic,
     parse_seifert,
 )
-from util import M
+from seifinv.cli import run
+from util import M, window
 
 
 class TestCheckAdmissible:
@@ -140,7 +138,7 @@ class TestExcludeFixedPointFree:
     def test_admissible_non_products_always_excluded(self):
         # An admissible descriptor has b = -n/2, so it is a product exactly
         # when it has no marked point.
-        for desc in enumerate_admissible(3, 6):
+        for desc in window(3, 6):
             assert (not desc.pairs) == (desc.b == 0), desc
 
 
@@ -175,7 +173,7 @@ class TestClassifyCase:
         assert report.admissible is False and report.case_label is None
 
     def test_partition_by_chi_sign(self):
-        for desc in enumerate_admissible(4, 10):
+        for desc in window(4, 10):
             chi = orbifold_euler_characteristic(desc)
             label = check_admissible(desc).case_label
             if chi > 0:
@@ -186,20 +184,38 @@ class TestClassifyCase:
                 assert label in ("3a", "3b", "3c")
 
 
+def enumerated(g_max, n_max):
+    """The descriptors of ``enumerate --json``'s rows, each parsed back, after
+    checking the row's case and geometry against ``check_admissible``."""
+    argv = ["enumerate", "--gmax", str(g_max), "--nmax", str(n_max), "--json"]
+    got = []
+    for row in json.loads(run(argv).message)["descriptors"]:
+        desc = parse_seifert(row["descriptor"])
+        report = check_admissible(desc)
+        assert (row["case"], row["geometry"]) == (report.case_label, report.geometry.value), row
+        got.append(desc)
+    return got
+
+
 class TestEnumerate:
+    """The enumerate command's rows against ``window``, built one checked
+    descriptor at a time; its bounds against the library's window."""
+
     def test_small_window(self):
-        got = enumerate_admissible(0, 2)
-        assert got == [M(0), M(0, [(2, 1), (2, 1)], -1)]
+        assert enumerated(0, 2) == window(0, 2) == [M(0), M(0, [(2, 1), (2, 1)], -1)]
 
     def test_trivial_window(self):
-        assert enumerate_admissible(0, 0) == [M(0)]
+        assert enumerated(0, 0) == window(0, 0) == [M(0)]
 
     def test_count_matches_closed_form(self):
-        got = enumerate_admissible(1, 4)
+        got = enumerated(1, 4)
+        assert got == window(1, 4)
         assert len(got) == (1 + 1) * (4 // 2 + 1) == 6
 
     def test_every_output_is_admissible_and_normalized(self):
-        for desc in enumerate_admissible(3, 8):
+        got = enumerated(3, 8)
+        assert got == window(3, 8)
+        for desc in got:
             assert normalize(desc) == desc
             assert euler_number(desc) == 0
             assert all(q == 2 for q, _ in desc.pairs)
@@ -208,23 +224,26 @@ class TestEnumerate:
             assert check_admissible(desc).admissible
 
     def test_sorted_by_genus_then_fiber_count(self):
-        keys = [(d.base.genus, len(d.pairs)) for d in enumerate_admissible(2, 6)]
+        got = enumerated(2, 6)
+        assert got == window(2, 6)
+        keys = [(d.base.genus, len(d.pairs)) for d in got]
         assert keys == sorted(keys)
 
     def test_negative_bounds_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_admissible(-1, 2)
+            admissibility._window(-1, 2)
 
     @pytest.mark.parametrize("bound", [2.5, "3", True])
     def test_non_int_bounds_refused(self, bound):
         for args, name in (((bound, 2), "gmax"), ((2, bound), "nmax")):
             with pytest.raises(ValueError) as exc:
-                enumerate_admissible(*args)
+                admissibility._window(*args)
             assert str(exc.value) == f"{name} must be an integer, got {bound!r}"
 
     def test_window_at_the_caps(self):
         assert (admissibility.MAX_GMAX, admissibility.MAX_NMAX) == (50, 100)
-        got = enumerate_admissible(50, 100)
+        got = enumerated(50, 100)
+        assert got == window(50, 100)
         assert len(got) == 51 * 51
         assert got[-1] == M(50, [(2, 1)] * 100, -50)
 
@@ -238,7 +257,7 @@ class TestEnumerate:
 
         monkeypatch.setattr(admissibility, "SeifertInvariants", unreachable)
         with pytest.raises(ValueError) as exc:
-            enumerate_admissible(g_max, n_max)
+            admissibility._window(g_max, n_max)
         assert str(exc.value) == message
 
 
@@ -277,18 +296,12 @@ class TestFractionOracle:
     """The verdicts checked against per-pair ``fractions.Fraction`` sums."""
 
     def test_widest_window(self):
-        got = enumerate_admissible(50, 100)
-        expected = [(g, n) for g in range(51) for n in range(0, 101, 2)]
-        assert len(got) == len(expected)
-        for desc, (g, n) in zip(got, expected):
-            assert desc == SeifertInvariants(BaseSurface(g, True), ((2, 1),) * n, -(n // 2))
-            # The rows of one n share one tally; it must still count the pairs.
-            assert desc.tally == Counter(desc.pairs)
+        for desc in window(50, 100):
             e, chi, tags, label, geom = _fraction_verdict(desc)
             assert (e, tags) == (0, ())
             rep = check_admissible(desc)
             assert rep.admissible and rep.violations == ()
-            assert (rep.case_label, rep.geometry) == (label, geom), (g, n)
+            assert (rep.case_label, rep.geometry) == (label, geom), desc
             assert (rep.euler_number, rep.chi_orb) == (e, chi)
 
     def test_random_tallies(self):

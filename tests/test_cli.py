@@ -12,7 +12,7 @@ import pytest
 
 from seifinv import admissibility, census, cli, filling, invariants, surfaces, torus_mcg
 from seifinv.cli import run
-from util import NEEDS_DIGIT_LIMIT, digit_limit, fresh_env, v221_unit_tampers
+from util import NEEDS_DIGIT_LIMIT, digit_limit, fresh_env, v221_unit_tampers, window
 
 
 def payload_of(argv):
@@ -470,14 +470,15 @@ class TestEnumerate:
 
 class TestEnumerateRowByRow:
     """enumerate's output against rows built one descriptor at a time: for
-    each descriptor of ``enumerate_admissible(50, 100)``, its text and
-    ``check_admissible``'s case and geometry; a smaller window's rows are
-    the ones with genus and fiber count inside it, in the same order."""
+    each descriptor of ``window(50, 100)``, built without the library's
+    window, its text and ``check_admissible``'s case and geometry; a smaller
+    window's rows are the ones with genus and fiber count inside it, in the
+    same order."""
 
     @pytest.fixture(scope="class")
     def reference(self):
         rows = []
-        for M in admissibility.enumerate_admissible(50, 100):
+        for M in window(50, 100):
             report = admissibility.check_admissible(M)
             text = str(M)
             assert invariants.parse_seifert(text) == M

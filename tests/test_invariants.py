@@ -16,7 +16,6 @@ from seifinv import (
     SeifertInvariants,
     SeifertParseError,
     check_admissible,
-    enumerate_admissible,
     euler_number,
     normalize,
     orbifold_euler_characteristic,
@@ -25,7 +24,7 @@ from seifinv import (
 )
 from seifinv.cli import run
 from seifinv.invariants import MAX_LCM_BITS
-from util import M, NEEDS_DIGIT_LIMIT, digit_limit, random_descriptor
+from util import M, NEEDS_DIGIT_LIMIT, digit_limit, random_descriptor, window
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "seifbench"))
 
@@ -205,7 +204,7 @@ class TestOrbifoldEulerCharacteristic:
 
     def test_general_formula_matches_specialization(self):
         # With every q = 2, chi_orb equals chi(base) - n/2.
-        for desc in enumerate_admissible(3, 8):
+        for desc in window(3, 8):
             n = len(desc.pairs)
             chi_base = desc.base.euler_characteristic()
             assert orbifold_euler_characteristic(desc) == chi_base - Fraction(n, 2)
@@ -410,7 +409,7 @@ class TestGeometry:
 
     def test_label_matches_chi_sign_on_admissible_window(self):
         signs = {GeometryType.S2xR: 1, GeometryType.E3: 0, GeometryType.H2xR: -1}
-        for desc in enumerate_admissible(4, 10):
+        for desc in window(4, 10):
             chi = orbifold_euler_characteristic(desc)
             sign = (chi > 0) - (chi < 0)
             assert signs[geometry(desc)] == sign

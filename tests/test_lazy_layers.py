@@ -32,10 +32,10 @@ PUBLIC = [
     "FixedPointData", "GeometryType", "IDENTITY", "IntMatrix2",
     "InvolutionClassLabel", "InvolutionKind", "SeifertInvariants", "SeifertParseError",
     "SurfaceInvolutionClass", "UnsupportedSlopeError", "Violation", "check_admissible",
-    "classes_for_genus", "enumerate_admissible", "enumerate_factorizations",
-    "euler_number", "extension_condition", "find_conjugator",
-    "fixed_point_data", "involution_class", "is_involution", "lift_to_double_cover", "mat_det",
-    "mat_mul", "normalize", "orbifold_euler_characteristic", "parse_seifert", "print_seifert",
+    "classes_for_genus", "enumerate_factorizations", "euler_number",
+    "extension_condition", "find_conjugator", "fixed_point_data", "involution_class",
+    "is_involution", "lift_to_double_cover", "mat_det", "mat_mul", "normalize",
+    "orbifold_euler_characteristic", "parse_seifert", "print_seifert",
     "verify_v221_construction",
 ]
 

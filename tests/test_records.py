@@ -19,7 +19,6 @@ from seifinv import (
     SeifertInvariants,
     SurfaceInvolutionClass,
     check_admissible,
-    enumerate_admissible,
     euler_number,
     extension_condition,
     find_conjugator,
@@ -239,7 +238,7 @@ def test_validated_records_are_frozen():
             setattr(record, name, 0)
     with pytest.raises(AttributeError):
         FillingSlope(1, 2).extra = 0
-    # The tally is read-only too: rows of enumerate_admissible share it.
+    # The tally, kept outside the tuple, is read-only too.
     with pytest.raises(TypeError):
         M.tally[(2, 1)] = 5
     assert M.tally == {(2, 1): 2}
@@ -306,15 +305,6 @@ def test_replace_keeps_the_tally_and_folds_the_slope():
     assert (N.pairs, N.b, N.tally) == (M.pairs, M.b, M.tally)
     assert str(N) == "(4,o1|(2,1),(2,1),(1,-2))"
     assert tuple(FillingSlope(1, 2)._replace(l=-4)) == (-1, 4)
-
-
-def test_rows_of_one_fiber_count_share_the_checked_fields():
-    rows = enumerate_admissible(3, 4)
-    for n in range(3):
-        first, *others = rows[n::3]
-        assert [len(M.pairs) for M in rows[n::3]] == [2 * n] * 4
-        for M in others:
-            assert M.pairs is first.pairs and M.tally is first.tally and M.b == first.b
 
 
 def test_copies_and_pickles_keep_a_read_only_tally():

@@ -26,8 +26,8 @@ from seifinv import (
     InvolutionKind,
     SeifertInvariants,
     SurfaceInvolutionClass,
+    admissibility,
     classes_for_genus,
-    enumerate_admissible,
     find_conjugator,
 )
 from seifinv.torus_mcg import IDENTITY
@@ -83,8 +83,8 @@ SITES = [
     for way, build in _builds(value, field, hold).items()
 ] + [
     ("classes_for_genus", classes_for_genus, "genus"),
-    ("enumerate_admissible-g_max", lambda x: enumerate_admissible(x, 2), "gmax"),
-    ("enumerate_admissible-n_max", lambda x: enumerate_admissible(2, x), "nmax"),
+    ("_window-g_max", lambda x: admissibility._window(x, 2), "gmax"),
+    ("_window-n_max", lambda x: admissibility._window(2, x), "nmax"),
     ("find_conjugator-bound", lambda x: find_conjugator(IDENTITY, IDENTITY, x), "bound"),
 ]
 

@@ -1,5 +1,6 @@
-"""Shared helpers for the test suite: a descriptor from its fields, seeded
-random descriptor generators, the inverse of a unimodular matrix and the
+"""Shared helpers for the test suite: a descriptor from its fields, the
+enumerate window built one checked descriptor at a time, seeded random
+descriptor generators, the inverse of a unimodular matrix and the
 pair {A, -A}, the refusal of a matrix with a non-int entry, the unit
 tampers of the V(2,2;-1) data, a set int/str digit limit and the
 environment of a fresh interpreter."""
@@ -18,6 +19,17 @@ from seifinv import BaseSurface, IntMatrix2, SeifertInvariants, verify_v221_cons
 
 def M(genus, pairs=(), b=0, orientable=True) -> SeifertInvariants:
     return SeifertInvariants(BaseSurface(genus, orientable), tuple(pairs), b)
+
+
+def window(g_max: int, n_max: int) -> list[SeifertInvariants]:
+    """The admissible normal forms (g, o1 | (2,1) x n, (1,-n/2)) for
+    g <= ``g_max`` and even n <= ``n_max``, genus-major, each built through
+    the checked constructor, which counts its own tally."""
+    return [
+        SeifertInvariants(BaseSurface(g), ((2, 1),) * n, -(n // 2))
+        for g in range(g_max + 1)
+        for n in range(0, n_max + 1, 2)
+    ]
 
 
 def coprime_pair(rng: random.Random, q_max: int = 9, p_span: int = 12) -> tuple[int, int]:
