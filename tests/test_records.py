@@ -7,11 +7,13 @@ tuple, so sets of records iterate in the same order.
 
 import copy
 import pickle
+from collections import Counter
 
 import pytest
 
 from seifinv import (
     BaseSurface,
+    admissibility,
     FactorizationRecord,
     FillingSlope,
     IntMatrix2,
@@ -305,6 +307,19 @@ def test_replace_keeps_the_tally_and_folds_the_slope():
     assert (N.pairs, N.b, N.tally) == (M.pairs, M.b, M.tally)
     assert str(N) == "(4,o1|(2,1),(2,1),(1,-2))"
     assert tuple(FillingSlope(1, 2)._replace(l=-4)) == (-1, 4)
+
+
+def test_window_passes_the_tally_of_its_pairs():
+    # _window hands _on_base a tally it builds itself; the checked
+    # constructor, which counts its own, must build the same record.
+    bases, fibers = admissibility._window(3, 6)
+    assert bases == [BaseSurface(g) for g in range(4)]
+    assert [len(M.pairs) for M in fibers] == [0, 2, 4, 6]
+    for M in fibers:
+        assert M == SeifertInvariants(BaseSurface(0), M.pairs, M.b)
+        assert M.tally == Counter(M.pairs) and M.b == -len(M.pairs) // 2
+        with pytest.raises(TypeError):
+            M.tally[(2, 1)] = 5
 
 
 def test_copies_and_pickles_keep_a_read_only_tally():
