@@ -27,6 +27,8 @@ from .invariants import (
     Rational,
     SeifertInvariants,
     _e_and_chi,
+    _print_body,
+    _print_head,
     normalize,
 )
 
@@ -164,16 +166,21 @@ MAX_GMAX = 50
 MAX_NMAX = 100
 
 
-def _window(g_max: int, n_max: int) -> tuple[list[BaseSurface], list[SeifertInvariants]]:
-    """The window's orientable bases, genus 0 to ``g_max``, and its
-    descriptor of each even fiber count n <= ``n_max`` on the first of them.
+def _window(g_max: int, n_max: int) -> list[tuple[str, str, GeometryType]]:
+    """The window's rows, (text, case, geometry) of the admissible normal
+    forms (g, o1 | (2,1) x n, (1,-n/2)), g from 0 to ``g_max`` (at most
+    ``MAX_GMAX``, 50) and even n up to ``n_max`` (at most ``MAX_NMAX``,
+    100), genus-major, then by fiber count.  Any other bound is refused
+    before a descriptor is built.
 
-    The window's rows are the admissible normal forms
-    (g, o1 | (2,1) x n, (1,-n/2)), genus-major, then by fiber count: the
-    bases come in genus order and the descriptors in fiber-count order.
-    ``g_max`` runs from 0 to ``MAX_GMAX`` (50) and ``n_max`` from 0 to
-    ``MAX_NMAX`` (100); any other bound is refused before a descriptor is
-    built.
+    Only the case reads the genus, so each fiber count n is checked once, by
+    ``check_admissible`` on the sphere (one tally pass), and its fibers are
+    printed once.  A row builds no record and no ``Rational``: moving the
+    fibers to another base moves ``chi_orb`` by the change in chi(base), so
+    with the count's ``chi_orb`` = n/d the row's sign is that of the int
+    n + (chi(base) - chi(sphere))*d, which it hands to the case rule
+    ``check_admissible`` uses.  Every count is admissible, so every row
+    takes its case from that rule.
     """
     _require(g_max, int, "gmax")
     _require(n_max, int, "nmax")
@@ -183,14 +190,25 @@ def _window(g_max: int, n_max: int) -> tuple[list[BaseSurface], list[SeifertInva
         raise ValueError(f"gmax must be at most {MAX_GMAX}, got {g_max}")
     if n_max > MAX_NMAX:
         raise ValueError(f"nmax must be at most {MAX_NMAX}, got {n_max}")
-    bases = [BaseSurface(g, True) for g in range(g_max + 1)]
-    # Built from fields known to pass the checks: n pairs (2,1) and their tally.
-    # The tally is passed, not left to _on_base to count: counting the window's
-    # pairs too made wide-descriptors 1.8-2.8 % slower, and its enumerate
-    # requests 3.8-8.1 %.
-    return bases, [
-        SeifertInvariants._on_base(
-            bases[0], ((2, 1),) * n, -(n // 2), MappingProxyType({(2, 1): n} if n else {})
+    sphere = BaseSurface(0, True)
+    first = sphere.euler_characteristic()
+    counts = []
+    for n in range(0, n_max + 1, 2):
+        # Fields known to pass the checks.  The tally is passed, not counted by
+        # _on_base: counting the window's pairs too made wide-descriptors
+        # 1.8-2.8 % slower, and its enumerate requests 3.8-8.1 %.
+        M = SeifertInvariants._on_base(
+            sphere, ((2, 1),) * n, -(n // 2), MappingProxyType({(2, 1): n} if n else {})
         )
-        for n in range(0, n_max + 1, 2)
-    ]
+        report = check_admissible(M)
+        d = report.chi_orb.denominator
+        offset = report.chi_orb.numerator - first * d
+        counts.append((_print_body(M), bool(report.normalized.pairs), d, offset))
+    rows = []
+    for g in range(g_max + 1):
+        base = BaseSurface(g, True)
+        head, chi = _print_head(base), base.euler_characteristic()
+        for body, fibered, d, offset in counts:
+            case, geometry = _case_and_geometry(g, fibered, chi * d + offset)
+            rows.append((head + body, case, geometry))
+    return rows

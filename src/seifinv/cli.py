@@ -57,7 +57,8 @@ _DESCRIPTOR = (("descriptor", {}),)
 
 COMMANDS = (
     ("classify", "invariants, geometry, and case of a descriptor", _DESCRIPTOR, "classify"),
-    ("admissible", "does the descriptor admit a reversing involution", _DESCRIPTOR, "admissible"),
+    ("admissible", "does the descriptor admit a reversing involution fixing every cone point",
+     _DESCRIPTOR, "admissible"),
     ("enumerate", "admissible descriptors in a bounded window", (
         ("--gmax", dict(type=int, required=True, help="largest base genus, 0 to 50")),
         ("--nmax", dict(type=int, required=True, help="largest fiber count, 0 to 100")),

@@ -1,4 +1,5 @@
-"""``seifinv admissible``: does a descriptor admit a reversing involution."""
+"""``seifinv admissible``: does a descriptor admit a reversing involution
+fixing every cone point."""
 
 from .. import admissibility, invariants
 

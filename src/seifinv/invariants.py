@@ -147,7 +147,7 @@ class SeifertInvariants(_Checked, _SeifertFields):
         for: ``pairs`` a tuple of (int, int) tuples that pass ``_pair_problem``
         and ``b`` an int.  The tally is derived here from ``pairs`` unless the
         caller passes one, a read-only mapping equal to ``Counter(pairs)``;
-        ``admissibility._window`` passes the one it builds with the pairs."""
+        only ``admissibility._window`` passes one, built with its pairs."""
         _require(base, BaseSurface, "base")
         self = super().__new__(cls, base, pairs, b)
         if tally is None:
@@ -264,7 +264,7 @@ def print_seifert(M: SeifertInvariants) -> str:
 
     The text is the head of the base, ``_print_head``, followed by the body
     of the fibers, ``_print_body``, which reads only the pairs and b; the
-    rows of one fiber count in ``enumerate`` share one body.  The
+    rows of one fiber count in ``admissibility._window`` share one body.  The
     obstruction term is printed as a trailing (1, b) pair when b != 0, and
     also when the stored pair list itself ends in a q = 1 pair (so the
     trailing pair is never mistaken for the obstruction term on re-parse).

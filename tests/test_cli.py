@@ -12,7 +12,7 @@ import pytest
 
 from seifinv import admissibility, census, cli, filling, invariants, surfaces, torus_mcg
 from seifinv.cli import run
-from util import NEEDS_DIGIT_LIMIT, digit_limit, fresh_env, v221_unit_tampers, window
+from util import NEEDS_DIGIT_LIMIT, default_limit, digit_limit, fresh_env, v221_unit_tampers, window
 
 
 def payload_of(argv):
@@ -65,12 +65,6 @@ class TestClassify:
 LIMIT = 4300  # Python's default int/str digit limit
 HALF_BELOW = "4" + "9" * (LIMIT - 1)  # 5 * 10**(LIMIT - 1) - 1, LIMIT digits
 HALF = "5" + "0" * (LIMIT - 1)  # 5 * 10**(LIMIT - 1), LIMIT digits
-
-
-@pytest.fixture
-def default_limit():
-    with digit_limit(LIMIT):
-        yield
 
 
 @NEEDS_DIGIT_LIMIT

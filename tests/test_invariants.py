@@ -24,18 +24,11 @@ from seifinv import (
 )
 from seifinv.cli import run
 from seifinv.invariants import MAX_LCM_BITS
-from util import M, NEEDS_DIGIT_LIMIT, digit_limit, random_descriptor, window
+from util import M, NEEDS_DIGIT_LIMIT, default_limit, random_descriptor, window
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "seifbench"))
 
 from workloads import WORKLOADS  # noqa: E402
-
-
-@pytest.fixture
-def default_limit():
-    """Python's default limit on int/str conversion, restored afterwards."""
-    with digit_limit(4300) as limit:
-        yield limit
 
 
 _WIDE_POOL = ("(2,1)", "(3,-1)", "(1,4)", "(5,2)", "(2,-3)")

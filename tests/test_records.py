@@ -36,6 +36,7 @@ from seifinv import (
 )
 from seifinv.filling import verify_v221_construction
 from seifinv.torus_mcg import IDENTITY
+from util import window
 
 ID, SPIT, ROT, REFL, ANTI = (
     InvolutionKind.ID,
@@ -309,17 +310,28 @@ def test_replace_keeps_the_tally_and_folds_the_slope():
     assert tuple(FillingSlope(1, 2)._replace(l=-4)) == (-1, 4)
 
 
-def test_window_passes_the_tally_of_its_pairs():
-    # _window hands _on_base a tally it builds itself; the checked
-    # constructor, which counts its own, must build the same record.
-    bases, fibers = admissibility._window(3, 6)
-    assert bases == [BaseSurface(g) for g in range(4)]
-    assert [len(M.pairs) for M in fibers] == [0, 2, 4, 6]
-    for M in fibers:
+def test_window_passes_the_tally_of_its_pairs(monkeypatch):
+    # _window hands _on_base a tally it builds itself, one record per fiber
+    # count; the checked constructor, which counts its own, must build the
+    # same record.
+    built = []
+    on_base = SeifertInvariants._on_base
+
+    def recorded(cls, *args):
+        built.append(on_base(*args))
+        return built[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SeifertInvariants, "_on_base", classmethod(recorded))
+        rows = admissibility._window(3, 6)
+    assert [len(M.pairs) for M in built] == [0, 2, 4, 6]
+    for M in built:
         assert M == SeifertInvariants(BaseSurface(0), M.pairs, M.b)
         assert M.tally == Counter(M.pairs) and M.b == -len(M.pairs) // 2
         with pytest.raises(TypeError):
             M.tally[(2, 1)] = 5
+    # The 16 rows, genus-major, then by fiber count.
+    assert [text for text, _, _ in rows] == list(map(str, window(3, 6)))
 
 
 def test_copies_and_pickles_keep_a_read_only_tally():

@@ -11,6 +11,7 @@ The guard below scans the package's modules so that no record converts with
 builds its own ``_make`` or ``_replace`` beside the shared one.  Two more
 scans keep every import in use: no module imports a name it never reads, and
 only a module with an annotation imports ``annotations`` from ``__future__``.
+A last scan lists the private layer names each command handler reads.
 """
 
 import ast
@@ -26,6 +27,7 @@ from seifinv import (
     InvolutionKind,
     SeifertInvariants,
     SurfaceInvolutionClass,
+    _LAYERS,
     admissibility,
     classes_for_genus,
     find_conjugator,
@@ -244,6 +246,36 @@ def test_every_imported_name_is_used():
             if (alias.asname or alias.name.partition(".")[0]) not in used
         ]
     assert unused == []
+
+
+# The private layer names a command handler may read, by handler module.
+PRIVATE_READS = {
+    ("classify", "invariants._e_and_chi"),
+    ("enumerate", "admissibility._window"),
+    ("psi_check", "admissibility._require_admissible"),
+}
+
+
+def test_handlers_read_only_their_private_layer_names():
+    # A read counts when it is ``<name>._<attr>`` and ``<name>`` is bound to
+    # a layer module by ``from .. import``; a record's ``_asdict`` does not.
+    reads = set()
+    for path in sorted((PACKAGE / "commands").glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        layers = {
+            alias.asname or alias.name: alias.name
+            for node in nodes
+            if isinstance(node, ast.ImportFrom) and node.level == 2 and node.module is None
+            for alias in node.names
+            if alias.name in _LAYERS
+        }
+        reads |= {
+            (path.stem, f"{layers[node.value.id]}.{node.attr}")
+            for node in nodes
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in layers and node.attr.startswith("_")
+        }
+    assert reads == PRIVATE_READS
 
 
 def test_future_annotations_only_where_there_are_annotations():

@@ -2,8 +2,8 @@
 enumerate window built one checked descriptor at a time, seeded random
 descriptor generators, the inverse of a unimodular matrix and the
 pair {A, -A}, the refusal of a matrix with a non-int entry, the unit
-tampers of the V(2,2;-1) data, a set int/str digit limit and the
-environment of a fresh interpreter."""
+tampers of the V(2,2;-1) data, a set int/str digit limit, a fixture of
+the default one, and the environment of a fresh interpreter."""
 
 from __future__ import annotations
 
@@ -87,6 +87,12 @@ else:
     NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int/str digit limit"
     )
+
+    @pytest.fixture
+    def default_limit():
+        """Python's default limit on int/str conversion, restored afterwards."""
+        with digit_limit(4300) as limit:
+            yield limit
 
 
 @contextlib.contextmanager
